@@ -7,6 +7,7 @@ nothing time- or thread-dependent is written to the files.
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -35,7 +36,10 @@ def _fmt(x) -> str:
 
 def _parse_complex(text: str) -> complex:
     re, _, im = text.partition(",")
-    return complex(float(re), float(im) if im else 0.0)
+    z = complex(float(re), float(im) if im else 0.0)
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite RE,IM pair")
+    return z
 
 
 def _parse_sweep(text: str) -> tuple[str, float, float, int]:
@@ -43,11 +47,21 @@ def _parse_sweep(text: str) -> tuple[str, float, float, int]:
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("sweep must be VAR:MIN:MAX:COUNT")
     var, lo, hi, count = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("sweep MIN and MAX must be finite")
     if count < 2:
         raise argparse.ArgumentTypeError("sweep count must be >= 2")
     if hi <= lo:
         raise argparse.ArgumentTypeError("sweep needs MAX > MIN")
     return var, lo, hi, count
+
+
+def _write(text: str, out: str | None):
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _write_table(columns: dict, meta: dict, fmt: str, out: str | None):
@@ -66,11 +80,7 @@ def _write_table(columns: dict, meta: dict, fmt: str, out: str | None):
         for i in range(nrows):
             lines.append(",".join(_fmt(columns[k][i]) for k in names))
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out)
 
 
 def _resolve(args, key, default):
@@ -81,6 +91,19 @@ def _resolve(args, key, default):
     if args.config_data and key in args.config_data:
         return args.config_data[key]
     return default
+
+
+def _sweep_grid(args, var: str, default: tuple[float, float, int] | None = None):
+    """The points of --sweep, which must name the subcommand's sweep variable.
+
+    Without --sweep this is linspace(*default), or None when there is no default.
+    """
+    sweep = _resolve(args, "sweep", None)
+    if sweep is None:
+        return None if default is None else np.linspace(*default)
+    if sweep[0] != var:
+        raise SpinclockError(f"{args.command} sweeps over {var}, not {sweep[0]!r}")
+    return np.linspace(sweep[1], sweep[2], sweep[3])
 
 
 def _spin(args) -> float:
@@ -147,13 +170,11 @@ def _meta(args, **extra) -> dict:
 def cmd_overlap(args) -> int:
     j = _spin(args)
     xi = _resolve(args, "xi", 0.0 + 0.0j)
-    sweep = _resolve(args, "sweep", None)
-    if sweep is not None:
-        if sweep[0] != "xi_prime":
-            raise SpinclockError("overlap sweeps over xi_prime")
-        xps = np.linspace(sweep[1], sweep[2], sweep[3]).astype(complex)
-    else:
+    xps = _sweep_grid(args, "xi_prime")
+    if xps is None:
         xps = np.array([_resolve(args, "xi_prime", xi)])
+    else:
+        xps = xps.astype(complex)
     vals = [coherent.overlap(xp, xi, j) for xp in xps]
     cols = {
         "xi_re": [xi.real] * len(xps),
@@ -178,16 +199,14 @@ def cmd_figure(args) -> int:
         theta = _resolve(args, "theta", math.pi / 4)
         if args.antipodal:
             theta = math.pi / 2 - theta
-        sweep = _resolve(args, "sweep", ("theta_prime", theta - 0.75, theta + 0.75, 201))
-        grid = np.linspace(sweep[1], sweep[2], sweep[3])
+        grid = _sweep_grid(args, "theta_prime", (theta - 0.75, theta + 0.75, 201))
         if args.antipodal:
             grid = math.pi / 2 - grid
         trace = clock.amplitude_correlation(theta, j, grid)
         sweep_name = "theta_prime"
     else:
         xi_mag = _resolve(args, "xi_mag", 1.0)
-        sweep = _resolve(args, "sweep", ("delta_phi", -math.pi, math.pi, 201))
-        grid = np.linspace(sweep[1], sweep[2], sweep[3])
+        grid = _sweep_grid(args, "delta_phi", (-math.pi, math.pi, 201))
         trace = clock.phase_correlation(xi_mag, j, grid)
         sweep_name = "delta_phi"
     n = len(trace.sweep)
@@ -209,8 +228,7 @@ def cmd_clock_trace(args) -> int:
     xi = _resolve(args, "xi", 1.0 + 0.0j)
     omega = _resolve(args, "omega", 1.0)
     phi_prime = _resolve(args, "phi_prime", 0.0)
-    sweep = _resolve(args, "sweep", ("tau", 0.0, 4 * math.pi, 201))
-    taus = np.linspace(sweep[1], sweep[2], sweep[3])
+    taus = _sweep_grid(args, "tau", (0.0, 4 * math.pi, 201))
     quantum = clock.clock_symbol_q1(xi, m, taus, phi_prime, omega)
     a_cl = clock.classical_amplitude(m, xi, omega, _resolve(args, "hbar", 1.0))
     phase = np.angle(xi) if abs(xi) > 0 else 0.0
@@ -230,8 +248,7 @@ def cmd_clock_trace(args) -> int:
 def cmd_symbols(args) -> int:
     j = _spin(args)
     m_prime = int(round(2 * j))
-    sweep = _resolve(args, "sweep", ("xi", 0.0, 3.0, 61))
-    xis = np.linspace(sweep[1], sweep[2], sweep[3]).astype(complex)
+    xis = _sweep_grid(args, "xi", (0.0, 3.0, 61)).astype(complex)
     mats = fock.spin_operators(m_prime) if m_prime >= 1 else None
     cols = {k: [] for k in ("xi_re", "xi_im", "s1_closed", "s2_closed", "s3_closed",
                             "s1_upper", "s2_upper", "s3_upper")}
@@ -263,33 +280,25 @@ def cmd_verify(args) -> int:
     seed = _resolve(args, "seed", 0)
     quad_order = _resolve(args, "quad_order", None)
     results = verify.run_checks(j=j, seed=seed, quad_order=quad_order)
-    fmt = _resolve(args, "format", "csv")
-    if fmt == "json":
-        payload = {"meta": dict(_meta(args, command="verify", j=j), version=__version__),
+    all_passed = all(r.passed for r in results)
+    meta = _meta(args, command="verify", j=j)
+    out = _resolve(args, "out", None)
+    if _resolve(args, "format", "csv") == "json":
+        payload = {"meta": dict(meta, version=__version__),
                    "checks": [{"name": r.name, "passed": r.passed,
                                "measured": float(_fmt(r.measured)), "tol": r.tol}
                               for r in results],
-                   "all_passed": all(r.passed for r in results)}
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+                   "all_passed": all_passed}
+        _write(json.dumps(payload, sort_keys=True, indent=1) + "\n", out)
     else:
         cols = {"name": [r.name for r in results],
                 "passed": [int(r.passed) for r in results],
                 "measured": [r.measured for r in results],
                 "tol": [r.tol for r in results]}
-        out = _resolve(args, "out", None)
-        _write_table(cols, _meta(args, command="verify", j=j), "csv", out)
-        for r in results:
-            print(r.line(), file=sys.stderr)
-        return 0 if all(r.passed for r in results) else VERIFY_FAILURE
-    out = _resolve(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        _write_table(cols, meta, "csv", out)
     for r in results:
         print(r.line(), file=sys.stderr)
-    return 0 if all(r.passed for r in results) else VERIFY_FAILURE
+    return 0 if all_passed else VERIFY_FAILURE
 
 
 def main(argv=None) -> int:

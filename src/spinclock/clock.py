@@ -28,15 +28,6 @@ from .symbols import FullLowerSymbol
 
 
 @dataclass
-class ClockTrace:
-    """Clock-symbol samples over a proper-time grid."""
-
-    tau: np.ndarray
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
 class CorrelationTrace:
     """Overlap magnitudes over a sweep, with the fitted Gaussian width."""
 

@@ -15,7 +15,6 @@ overflow that plain generalized Gauss-Laguerre weights hit for large m.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,8 @@ def radial_grid(m: int, order: int = 32) -> RadialGrid:
     k = np.arange(order)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt((k[:-1] + 1.0) * (k[:-1] + 1.0 + alpha))
-    nodes, vecs = eigh_tridiagonal(diag, off)
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vecs = np.linalg.eigh(jacobi)
     weights = vecs[0] ** 2
     return RadialGrid(m=m, nodes=nodes, weights=weights)
 

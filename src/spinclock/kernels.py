@@ -1,41 +1,16 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized with numpy.
 
 The two inner loops that dominate runtime are (1) evaluating batches of
 spin coherent-state amplitude vectors on a quadrature grid and (2)
-accumulating the weighted rank-one sum  sum_k c_k |v_k><v_k|.  Both have a
-numba ``@njit`` implementation and a vectorized numpy implementation; the
-active backend is chosen at import time.  Set the environment variable
-``SPINCLOCK_NO_NUMBA=1`` to force the numpy path (the fallback is also
-taken automatically if numba is not importable).
+accumulating the weighted rank-one sum  sum_k c_k |v_k><v_k|.
 
 Amplitudes are computed in the log domain so that large spins and large
 |xi| neither overflow nor lose the normalization.
 """
 
 import math
-import os
 
 import numpy as np
-
-_want_numba = os.environ.get("SPINCLOCK_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-try:
-    if not _want_numba:
-        raise ImportError("numba disabled via SPINCLOCK_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):  # no-op decorator
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
 
 
 def _log_binomial_halves(two_j: int) -> np.ndarray:
@@ -49,82 +24,31 @@ def _log_binomial_halves(two_j: int) -> np.ndarray:
     )
 
 
-@njit(cache=True)
-def _amplitudes_jit(xi, two_j, half_log_binom, out):
-    npts = xi.shape[0]
-    for k in range(npts):
-        x = xi[k]
-        ax = abs(x)
-        if ax == 0.0:
-            out[k, 0] = 1.0
-            for n in range(1, two_j + 1):
-                out[k, n] = 0.0
-            continue
-        la = math.log(ax)
-        ph = math.atan2(x.imag, x.real)
-        base = -0.5 * two_j * math.log1p(ax * ax)
-        for n in range(two_j + 1):
-            mag = math.exp(half_log_binom[n] + n * la + base)
-            out[k, n] = complex(mag * math.cos(n * ph), mag * math.sin(n * ph))
-
-
-def _amplitudes_numpy(xi, two_j, half_log_binom, out):
-    ax = np.abs(xi)
-    nz = ax > 0.0
-    n = np.arange(two_j + 1)
-    out[~nz, :] = 0.0
-    out[~nz, 0] = 1.0
-    if np.any(nz):
-        la = np.log(ax[nz])
-        ph = np.angle(xi[nz])
-        base = -0.5 * two_j * np.log1p(ax[nz] ** 2)
-        logmag = half_log_binom[None, :] + np.outer(la, n) + base[:, None]
-        out[nz, :] = np.exp(logmag + 1j * np.outer(ph, n))
-
-
-@njit(cache=True)
-def _accumulate_jit(vecs, coeff, out):
-    npts, dim = vecs.shape
-    for k in range(npts):
-        c = coeff[k]
-        for a in range(dim):
-            va = c * vecs[k, a]
-            for b in range(dim):
-                out[a, b] += va * np.conj(vecs[k, b])
-
-
-def _accumulate_numpy(vecs, coeff, out):
-    out += (vecs.T * coeff) @ vecs.conj()
-
-
 def coherent_amplitudes(xi, two_j: int) -> np.ndarray:
     """Amplitude vectors of spin coherent states for a batch of labels.
 
     Returns an (npts, 2j+1) complex array; row k holds the coefficients
     c_n = (1+|xi_k|^2)^{-j} sqrt(C(2j,n)) xi_k^n on the number basis.
     """
-    xi = np.ascontiguousarray(np.atleast_1d(np.asarray(xi, dtype=np.complex128)))
-    out = np.empty((xi.shape[0], two_j + 1), dtype=np.complex128)
-    hlb = _log_binomial_halves(two_j)
-    if NUMBA_ENABLED:
-        _amplitudes_jit(xi, two_j, hlb, out)
-    else:
-        _amplitudes_numpy(xi, two_j, hlb, out)
+    xi = np.atleast_1d(np.asarray(xi, dtype=np.complex128))
+    out = np.zeros((xi.shape[0], two_j + 1), dtype=np.complex128)
+    ax = np.abs(xi)
+    nz = ax > 0.0
+    out[~nz, 0] = 1.0
+    n = np.arange(two_j + 1)
+    la = np.log(ax[nz])
+    ph = np.angle(xi[nz])
+    base = -0.5 * two_j * np.log1p(ax[nz] ** 2)
+    logmag = _log_binomial_halves(two_j)[None, :] + np.outer(la, n) + base[:, None]
+    out[nz, :] = np.exp(logmag + 1j * np.outer(ph, n))
     return out
 
 
 def accumulate_projectors(vecs: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """sum_k coeff[k] |vecs[k]><vecs[k]| as a dense matrix.
+    """sum_k coeff[k] |vecs[k]><vecs[k]| as a dense (dim, dim) matrix.
 
-    The numba path accumulates in grid order, so the result is independent
-    of thread configuration.
+    Computed as one matrix product (vecs^T * coeff) @ conj(vecs).
     """
-    vecs = np.ascontiguousarray(vecs, dtype=np.complex128)
-    coeff = np.ascontiguousarray(coeff, dtype=np.complex128)
-    dim = vecs.shape[1]
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    if NUMBA_ENABLED:
-        _accumulate_jit(vecs, coeff, out)
-    else:
-        _accumulate_numpy(vecs, coeff, out)
-    return out
+    vecs = np.asarray(vecs, dtype=np.complex128)
+    coeff = np.asarray(coeff, dtype=np.complex128)
+    return (vecs.T * coeff) @ vecs.conj()

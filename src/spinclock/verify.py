@@ -112,11 +112,13 @@ def run_checks(j: float = 5.0, seed: int = 0,
                           np.max(np.abs(res - np.eye(two_j + 1))), 1e-10))
 
     # radial weight normalization via the quadrature rule itself is
-    # circular; integrate on a dense trapezoid grid instead
-    from scipy.integrate import simpson
+    # circular; integrate with composite Simpson on a dense uniform grid
+    # instead (200000 intervals, an even count as the rule needs)
     for m in (0, 5, 50):
         r = np.linspace(0.0, m + 1 + 40 * math.sqrt(m + 1.0), 200001)
-        mass = simpson(coherent.radial_weight(r, m), x=r)
+        f = coherent.radial_weight(r, m)
+        mass = (r[1] - r[0]) / 3.0 * (f[0] + 4.0 * f[1:-1:2].sum()
+                                      + 2.0 * f[2:-1:2].sum() + f[-1])
         results.append(_check(f"coherent.radial_weight_norm_m{m}", abs(mass - 1.0), 1e-8))
 
     # symbol transport

@@ -71,6 +71,40 @@ def test_zero_width_sweep_rejected(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["symbols", "--j", "2", "--sweep", "phi:0:6.28:4"],
+    ["clock-trace", "--m", "10", "--sweep", "xi:0:1:3"],
+    ["figure", "1", "--j", "10", "--sweep", "bogus:0:1:3"],
+])
+def test_sweep_of_wrong_variable_is_usage_error(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "sweeps over" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["overlap", "--j", "2", "--xi", "0,0", "--sweep", "xi_prime:nan:1:3"],
+    ["overlap", "--j", "2", "--xi", "0,0", "--sweep", "xi_prime:0:inf:3"],
+    ["overlap", "--j", "2", "--xi", "0,0", "--sweep", "xi_prime:-inf:1:3"],
+    ["overlap", "--j", "2", "--xi", "inf,0", "--xi-prime", "1,0"],
+    ["overlap", "--j", "2", "--xi", "0,0", "--xi-prime", "1,nan"],
+])
+def test_non_finite_input_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_import_pulls_in_neither_scipy_nor_numba():
+    code = ("import sys, spinclock.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'numba')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_figure1_width_in_output(tmp_path, capsys):
     out_file = tmp_path / "fig1.csv"
     code = main(["figure", "1", "--j", "10", "--out", str(out_file)])
