@@ -83,22 +83,12 @@ def _write_table(columns: dict, meta: dict, fmt: str, out: str | None):
     _write(text, out)
 
 
-def _resolve(args, key, default):
-    """flag > config file > built-in default"""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if args.config_data and key in args.config_data:
-        return args.config_data[key]
-    return default
-
-
 def _sweep_grid(args, var: str, default: tuple[float, float, int] | None = None):
     """The points of --sweep, which must name the subcommand's sweep variable.
 
     Without --sweep this is linspace(*default), or None when there is no default.
     """
-    sweep = _resolve(args, "sweep", None)
+    sweep = args.sweep
     if sweep is None:
         return None if default is None else np.linspace(*default)
     if sweep[0] != var:
@@ -107,8 +97,7 @@ def _sweep_grid(args, var: str, default: tuple[float, float, int] | None = None)
 
 
 def _spin(args) -> float:
-    j = _resolve(args, "j", None)
-    m_prime = _resolve(args, "m_prime", None)
+    j, m_prime = args.j, args.m_prime
     if j is not None and m_prime is not None:
         raise SpinclockError("give exactly one of --j / --m-prime")
     if m_prime is not None:
@@ -119,17 +108,14 @@ def _spin(args) -> float:
 
 
 def _add_common(p: argparse.ArgumentParser):
+    # only options every subcommand reads or echoes into its metadata
     p.add_argument("--j", type=float, help="spin j (2j must be an integer)")
     p.add_argument("--m-prime", type=int, help="total quanta m' = 2j")
-    p.add_argument("--omega", type=float, help="oscillator frequency (default 1)")
-    p.add_argument("--hbar", type=float, help="Planck constant (default 1)")
-    p.add_argument("--quad-order", type=int, help="polar quadrature order override")
-    p.add_argument("--sweep", type=_parse_sweep, help="sweep as VAR:MIN:MAX:COUNT")
-    p.add_argument("--xi", type=_parse_complex, help="chart coordinate as RE,IM")
-    p.add_argument("--phi-prime", type=float, help="clock phase offset (default 0)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format")
+    p.add_argument("--omega", type=float, default=1.0, help="oscillator frequency (default 1)")
+    p.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--seed", type=int, help="seed for property sampling")
+    p.add_argument("--seed", type=int, default=0, help="seed for property sampling")
     p.add_argument("--config", help="JSON config file (flags override it)")
 
 
@@ -140,63 +126,69 @@ def build_parser() -> _Parser:
     for name, fn in [("overlap", cmd_overlap), ("figure", cmd_figure),
                      ("clock-trace", cmd_clock_trace), ("symbols", cmd_symbols),
                      ("verify", cmd_verify)]:
-        p = sub.add_parser(name)
+        # no abbreviations: figure would otherwise take --xi as --xi-mag
+        p = sub.add_parser(name, allow_abbrev=False)
         _add_common(p)
         p.set_defaults(func=fn)
+        if name != "verify":
+            p.add_argument("--sweep", type=_parse_sweep, help="sweep as VAR:MIN:MAX:COUNT")
         if name == "overlap":
+            p.add_argument("--xi", type=_parse_complex, default=0j,
+                           help="chart coordinate as RE,IM (default 0,0)")
             p.add_argument("--xi-prime", type=_parse_complex,
                            help="second label as RE,IM (alternative to --sweep)")
         if name == "figure":
             p.add_argument("which", type=int, choices=(1, 2))
-            p.add_argument("--theta", type=float,
+            p.add_argument("--theta", type=float, default=math.pi / 4,
                            help="reference amplitude angle (figure 1, default pi/4)")
-            p.add_argument("--xi-mag", type=float,
+            p.add_argument("--xi-mag", type=float, default=1.0,
                            help="reference |xi| (figure 2, default 1)")
             p.add_argument("--antipodal", action="store_true",
                            help="interpret angles on the swapped-oscillator chart")
         if name == "clock-trace":
             p.add_argument("--m", type=int, help="total quanta (alias of --m-prime)")
+            p.add_argument("--xi", type=_parse_complex, default=1 + 0j,
+                           help="chart coordinate as RE,IM (default 1,0)")
+            p.add_argument("--phi-prime", type=float, default=0.0,
+                           help="clock phase offset (default 0)")
+        if name == "verify":
+            p.add_argument("--quad-order", type=int, help="polar quadrature order override")
     return parser
 
 
 def _meta(args, **extra) -> dict:
-    meta = {"omega": _resolve(args, "omega", 1.0),
-            "hbar": _resolve(args, "hbar", 1.0),
-            "seed": _resolve(args, "seed", 0)}
+    meta = {"omega": args.omega, "hbar": args.hbar, "seed": args.seed}
     meta.update(extra)
     return meta
 
 
 def cmd_overlap(args) -> int:
     j = _spin(args)
-    xi = _resolve(args, "xi", 0.0 + 0.0j)
+    xi = args.xi
     xps = _sweep_grid(args, "xi_prime")
     if xps is None:
-        xps = np.array([_resolve(args, "xi_prime", xi)])
-    else:
-        xps = xps.astype(complex)
-    vals = [coherent.overlap(xp, xi, j) for xp in xps]
+        xps = np.array([xi if args.xi_prime is None else args.xi_prime])
+    xps = xps.astype(complex)
+    vals = coherent.overlap(xps, xi, j)
     cols = {
         "xi_re": [xi.real] * len(xps),
         "xi_im": [xi.imag] * len(xps),
-        "xi_prime_re": [xp.real for xp in xps],
-        "xi_prime_im": [xp.imag for xp in xps],
-        "overlap_re": [v.real for v in vals],
-        "overlap_im": [v.imag for v in vals],
-        "overlap_abs": [abs(v) for v in vals],
+        "xi_prime_re": list(xps.real),
+        "xi_prime_im": list(xps.imag),
+        "overlap_re": list(vals.real),
+        "overlap_im": list(vals.imag),
+        # np.hypot rounds |z| as Python's abs does; np.abs can differ in the last ulp
+        "overlap_abs": list(np.hypot(vals.real, vals.imag)),
     }
-    _write_table(cols, _meta(args, command="overlap", j=j), _resolve(args, "format", "csv"),
-                 _resolve(args, "out", None))
+    _write_table(cols, _meta(args, command="overlap", j=j), args.format, args.out)
     return 0
 
 
 def cmd_figure(args) -> int:
     j = _spin(args)
-    fmt = _resolve(args, "format", "csv")
-    out = _resolve(args, "out", None)
     chart = "antipodal" if args.antipodal else "primary"
     if args.which == 1:
-        theta = _resolve(args, "theta", math.pi / 4)
+        theta = args.theta
         if args.antipodal:
             theta = math.pi / 2 - theta
         grid = _sweep_grid(args, "theta_prime", (theta - 0.75, theta + 0.75, 201))
@@ -205,9 +197,8 @@ def cmd_figure(args) -> int:
         trace = clock.amplitude_correlation(theta, j, grid)
         sweep_name = "theta_prime"
     else:
-        xi_mag = _resolve(args, "xi_mag", 1.0)
         grid = _sweep_grid(args, "delta_phi", (-math.pi, math.pi, 201))
-        trace = clock.phase_correlation(xi_mag, j, grid)
+        trace = clock.phase_correlation(args.xi_mag, j, grid)
         sweep_name = "delta_phi"
     n = len(trace.sweep)
     cols = {
@@ -219,18 +210,16 @@ def cmd_figure(args) -> int:
     }
     meta = _meta(args, command=f"figure{args.which}", j=j, chart=chart)
     meta.update({k: v for k, v in trace.meta.items() if k not in meta})
-    _write_table(cols, meta, fmt, out)
+    _write_table(cols, meta, args.format, args.out)
     return 0
 
 
 def cmd_clock_trace(args) -> int:
     m = args.m if args.m is not None else int(round(2 * _spin(args)))
-    xi = _resolve(args, "xi", 1.0 + 0.0j)
-    omega = _resolve(args, "omega", 1.0)
-    phi_prime = _resolve(args, "phi_prime", 0.0)
+    xi, omega, phi_prime = args.xi, args.omega, args.phi_prime
     taus = _sweep_grid(args, "tau", (0.0, 4 * math.pi, 201))
     quantum = clock.clock_symbol_q1(xi, m, taus, phi_prime, omega)
-    a_cl = clock.classical_amplitude(m, xi, omega, _resolve(args, "hbar", 1.0))
+    a_cl = clock.classical_amplitude(m, xi, omega, args.hbar)
     phase = np.angle(xi) if abs(xi) > 0 else 0.0
     classical_q1 = a_cl * np.cos(omega * taus + phi_prime + phase)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -241,7 +230,7 @@ def cmd_clock_trace(args) -> int:
             "q1_classical": list(classical_q1), "ratio": list(ratio)}
     _write_table(cols, _meta(args, command="clock-trace", m=m,
                              xi=f"{xi.real},{xi.imag}", phi_prime=phi_prime),
-                 _resolve(args, "format", "csv"), _resolve(args, "out", None))
+                 args.format, args.out)
     return 0
 
 
@@ -266,24 +255,21 @@ def cmd_symbols(args) -> int:
         cols["s1_upper"].append(ups[0])
         cols["s2_upper"].append(ups[1])
         cols["s3_upper"].append(ups[2])
-    _write_table(cols, _meta(args, command="symbols", j=j),
-                 _resolve(args, "format", "csv"), _resolve(args, "out", None))
+    _write_table(cols, _meta(args, command="symbols", j=j), args.format, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    j = _resolve(args, "j", None)
-    if j is None and _resolve(args, "m_prime", None) is not None:
-        j = _resolve(args, "m_prime", None) / 2.0
+    j = args.j
+    if j is None and args.m_prime is not None:
+        j = args.m_prime / 2.0
     if j is None:
         j = 5.0
-    seed = _resolve(args, "seed", 0)
-    quad_order = _resolve(args, "quad_order", None)
-    results = verify.run_checks(j=j, seed=seed, quad_order=quad_order)
+    results = verify.run_checks(j=j, seed=args.seed, quad_order=args.quad_order)
     all_passed = all(r.passed for r in results)
     meta = _meta(args, command="verify", j=j)
-    out = _resolve(args, "out", None)
-    if _resolve(args, "format", "csv") == "json":
+    out = args.out
+    if args.format == "json":
         payload = {"meta": dict(meta, version=__version__),
                    "checks": [{"name": r.name, "passed": r.passed,
                                "measured": float(_fmt(r.measured)), "tol": r.tol}
@@ -301,13 +287,27 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else VERIFY_FAILURE
 
 
+def _config_tokens(parser: _Parser, path: str) -> list[str]:
+    """The JSON object in path as --key=value tokens (a bare --key for true)."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {path}: {exc}")
+    if not isinstance(config, dict):
+        parser.error(f"--config {path}: not a JSON object")
+    return [f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
+            for key, value in config.items()]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    args.config_data = None
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            args.config_data = json.load(fh)
+    if args.config:
+        # config values parse as flags placed before the user's own, so the
+        # same checks apply and a flag given on the command line wins
+        args = parser.parse_args(argv[:1] + _config_tokens(parser, args.config) + argv[1:])
     try:
         return args.func(args)
     except SpinclockError as exc:

@@ -24,7 +24,7 @@ from . import kernels
 from .coherent import _check_two_j, su2_coherent_batch
 from .errors import ChartSingularityError
 from .grids import RadialGrid, SphereGrid, radial_grid, sphere_grid
-from .symbols import FullLowerSymbol
+from .symbols import FullLowerSymbol, ReducedLowerSymbol, _radial_mean
 
 
 @dataclass
@@ -41,19 +41,19 @@ class CorrelationTrace:
 
 def deparameterize(sym: FullLowerSymbol, m: int, tau: float,
                    phi_prime: float = 0.0, omega: float = 1.0,
-                   rgrid: RadialGrid | None = None):
+                   rgrid: RadialGrid | None = None) -> ReducedLowerSymbol:
     """Condition a full lower symbol on the clock slice theta = omega*tau + phi'.
 
     Returns the reduced symbol xi -> int sym(xi, r, theta_slice) against
-    the normalized radial weight r^{m+1} e^{-r} / (m+1)!.
+    the normalized radial weight r^{m+1} e^{-r} / (m+1)!; it takes a
+    scalar or an array of xi.
     """
     if rgrid is None or rgrid.m != m:
         rgrid = radial_grid(m)
-    theta = math.fmod(omega * tau + phi_prime, 2.0 * math.pi)
+    theta = np.array([math.fmod(omega * tau + phi_prime, 2.0 * math.pi)])
 
-    def at_slice(xi: complex) -> float:
-        return float(sum(w * sym(xi, r, theta)
-                         for r, w in zip(rgrid.nodes, rgrid.weights)))
+    def at_slice(xi):
+        return _radial_mean(sym, xi, rgrid, theta)
 
     return at_slice
 

@@ -67,18 +67,35 @@ def factor_gauge_phase(alpha: complex, beta: complex, m_prime: int
     return cmath.phase(beta), alpha / beta
 
 
-def overlap(xi1: complex, xi2: complex, j: float) -> complex:
+def overlap(xi1, xi2, j: float):
     """<xi1 | xi2> from the closed form, evaluated in the log domain.
 
     (1+|xi1|^2)^{-j} (1+|xi2|^2)^{-j} (1 + conj(xi1) xi2)^{2j}
+
+    xi1 and xi2 broadcast against each other; labels with
+    1 + conj(xi1) xi2 = 0 are orthogonal and give exactly 0.
     """
     two_j = _check_two_j(j)
-    inner = 1.0 + np.conjugate(xi1) * xi2
-    if inner == 0:
-        return 0.0 + 0.0j
-    log_ov = two_j * np.log(inner + 0j) \
-        - 0.5 * two_j * (np.log1p(abs(xi1) ** 2) + np.log1p(abs(xi2) ** 2))
-    return complex(np.exp(log_ov))
+    xi1 = np.asarray(xi1, dtype=np.complex128)
+    xi2 = np.asarray(xi2, dtype=np.complex128)
+    # conj(xi1) xi2 by components: numpy's complex array multiply fuses
+    # multiply-adds and so rounds differently from scalar complex arithmetic
+    inner = (1.0 + (xi1.real * xi2.real + xi1.imag * xi2.imag)) \
+        + 1j * (xi1.real * xi2.imag - xi1.imag * xi2.real)
+    orthogonal = inner == 0
+    log_ov = two_j * np.log(np.where(orthogonal, 1.0, inner)) \
+        - 0.5 * two_j * (np.log1p(_abs_sq(xi1)) + np.log1p(_abs_sq(xi2)))
+    return np.where(orthogonal, 0.0, np.exp(log_ov))[()]
+
+
+def _abs_sq(z: np.ndarray) -> np.ndarray:
+    """|z|^2 rounded as Python's abs(z) ** 2 rounds it.
+
+    np.hypot rounds |z| as abs does, and float_power calls the C pow that
+    ** calls; np.abs and ** 2 (np.square) on arrays each differ from them
+    in the last ulp for some z.
+    """
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
 def resolution_of_unity(j: float, grid: SphereGrid | None = None) -> np.ndarray:

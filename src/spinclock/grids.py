@@ -77,6 +77,9 @@ def radial_grid(m: int, order: int = 32) -> RadialGrid:
     return RadialGrid(m=m, nodes=nodes, weights=weights)
 
 
-def gauge_grid(n_theta: int = 256) -> np.ndarray:
-    """Uniform trapezoid nodes on the gauge circle [0, 2pi)."""
-    return np.arange(n_theta) * (2.0 * np.pi / n_theta)
+def gauge_grid() -> np.ndarray:
+    """The 256 uniform trapezoid nodes on the gauge circle [0, 2pi).
+
+    Their mean is exact for every gauge harmonic e^{ik theta} with 0 < |k| < 256.
+    """
+    return np.arange(256) * (2.0 * np.pi / 256)

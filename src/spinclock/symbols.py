@@ -6,9 +6,14 @@ one integrates out the constraint direction r (against the normalized
 radial weight) and averages over the gauge angle theta, leaving a reduced
 symbol o'(xi).  Reduced symbols define operators through their diagonal
 coherent-state representation.
+
+Symbols are numpy-broadcasting callables: a full lower symbol
+sym(xi, r, theta) and a reduced symbol sym(xi) take scalars or arrays and
+broadcast them against each other.  A symbol that does not depend on an
+argument may return a smaller shape, even a constant such as
+``lambda xi: 1.0``; the caller broadcasts the result.
 """
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -17,10 +22,10 @@ from . import kernels
 from .coherent import su2_coherent, _check_two_j
 from .grids import RadialGrid, SphereGrid, gauge_grid, radial_grid, sphere_grid
 
-# a full lower symbol maps (xi, r, theta) -> value
-FullLowerSymbol = Callable[[complex, float, float], float]
-# a reduced symbol maps xi -> value
-ReducedLowerSymbol = Callable[[complex], float]
+# a full lower symbol maps (xi, r, theta) -> value, broadcasting its arguments
+FullLowerSymbol = Callable[[np.ndarray, float, np.ndarray], np.ndarray]
+# a reduced symbol maps xi -> value, elementwise over an array of xi
+ReducedLowerSymbol = Callable[[np.ndarray], np.ndarray]
 
 
 def upper_symbol(op: np.ndarray, xi: complex, j: float | None = None) -> complex:
@@ -52,24 +57,36 @@ def spin_symbols_closed_form(xi: complex, j: float) -> tuple[float, float, float
     return s1, s2, s3
 
 
+def _radial_mean(sym: FullLowerSymbol, xi, rgrid: RadialGrid,
+                 thetas: np.ndarray) -> np.ndarray:
+    """sum_i w_i * mean_theta sym(xi, r_i, theta) over the given gauge angles.
+
+    sym is called once per radial node on the (xi, theta) plane, so the
+    temporaries stay len(xi) x len(thetas).  The result has the shape of xi.
+    """
+    xi = np.asarray(xi)[..., None]
+    plane = np.broadcast_shapes(xi.shape, thetas.shape)
+    total = 0.0
+    for r, w in zip(rgrid.nodes, rgrid.weights):
+        total += w * np.mean(np.broadcast_to(sym(xi, r, thetas), plane), axis=-1)
+    return total
+
+
 def project_lower_symbol(sym: FullLowerSymbol, m: int,
-                         rgrid: RadialGrid | None = None,
-                         n_theta: int = 256) -> ReducedLowerSymbol:
+                         rgrid: RadialGrid | None = None) -> ReducedLowerSymbol:
     """Reduce a full lower symbol to the physical phase space.
 
     o'(xi) = sum_i w_i * mean_theta sym(xi, r_i, theta) with the
-    normalized radial rule; theta averaging uses a uniform grid and exact
-    (fsum) accumulation so that gauge-odd symbols cancel to roundoff.
+    normalized radial rule and the uniform gauge grid; the uniform mean
+    cancels gauge-odd symbols to roundoff.  The returned symbol takes a
+    scalar or an array of xi.
     """
     if rgrid is None or rgrid.m != m:
         rgrid = radial_grid(m)
-    thetas = gauge_grid(n_theta)
+    thetas = gauge_grid()
 
-    def reduced(xi: complex) -> float:
-        total = 0.0
-        for r, w in zip(rgrid.nodes, rgrid.weights):
-            total += w * math.fsum(sym(xi, r, th) for th in thetas) / n_theta
-        return total
+    def reduced(xi):
+        return _radial_mean(sym, xi, rgrid, thetas)
 
     return reduced
 
@@ -81,23 +98,21 @@ def reconstruct_operator(sym: ReducedLowerSymbol, j: float,
     if grid is None:
         grid = sphere_grid(j)
     vecs = kernels.coherent_amplitudes(grid.xi, two_j)
-    vals = np.array([sym(x) for x in grid.xi], dtype=np.complex128)
+    vals = np.broadcast_to(sym(grid.xi), grid.xi.shape).astype(np.complex128)
     return ((two_j + 1) / np.pi) * kernels.accumulate_projectors(vecs, grid.weights * vals)
 
 
-def q2_position_symbol(xi: complex, r: float, theta: float,
-                       omega: float = 1.0, hbar: float = 1.0) -> float:
+def q2_position_symbol(xi, r, theta, omega: float = 1.0, hbar: float = 1.0):
     """Lower symbol of the position of oscillator 2 in chart coordinates.
 
     (beta + conj(beta))/sqrt(2) = sqrt(2)|beta| cos(theta) with
     |beta| = sqrt(r/(1+|xi|^2)); scaled by sqrt(hbar/omega).
     """
-    mag = math.sqrt(hbar / omega) * math.sqrt(2.0 * r / (1.0 + abs(xi) ** 2))
-    return mag * math.cos(theta)
+    mag = np.sqrt(hbar / omega) * np.sqrt(2.0 * r / (1.0 + np.abs(xi) ** 2))
+    return mag * np.cos(theta)
 
 
-def q1_position_symbol(xi: complex, r: float, theta: float,
-                       omega: float = 1.0, hbar: float = 1.0) -> float:
+def q1_position_symbol(xi, r, theta, omega: float = 1.0, hbar: float = 1.0):
     """Lower symbol of the position of oscillator 1: sqrt(2)|alpha| cos(theta + arg xi)."""
-    mag = math.sqrt(hbar / omega) * abs(xi) * math.sqrt(2.0 * r / (1.0 + abs(xi) ** 2))
-    return mag * math.cos(theta + math.atan2(xi.imag, xi.real))
+    mag = np.sqrt(hbar / omega) * np.abs(xi) * np.sqrt(2.0 * r / (1.0 + np.abs(xi) ** 2))
+    return mag * np.cos(theta + np.angle(xi))

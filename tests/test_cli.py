@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinclock.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(argv, capsys):
@@ -45,6 +48,15 @@ def test_overlap_sweep_matches_cosine_law(capsys):
         xp = float(row["xi_prime_re"])
         expected = math.cos(math.atan(xp)) ** 20
         assert float(row["overlap_abs"]) == pytest.approx(expected, abs=1e-12)
+
+
+def test_overlap_complex_sweep_matches_baseline(tmp_path, capsys):
+    out_file = tmp_path / "overlap.csv"
+    code = main(["overlap", "--j", "10", "--xi", "0.3,-0.7",
+                 "--sweep", "xi_prime:-3:2:2001", "--out", str(out_file)])
+    capsys.readouterr()
+    assert code == 0
+    assert out_file.read_bytes() == (DATA / "overlap_j10_complex_baseline.csv").read_bytes()
 
 
 def test_spin_flag_conflict_is_usage_error(capsys):
@@ -213,6 +225,49 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(out_file.read_text())["meta"]["j"] == 2.0
+
+
+def test_config_value_parses_like_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"j": 2, "xi": "1,0", "xi_prime": "0.5,-0.25"}))
+    code, from_config, _ = run_cli(["overlap", "--config", str(cfg)], capsys)
+    assert code == 0
+    code, from_flags, _ = run_cli(["overlap", "--j", "2", "--xi", "1,0",
+                                   "--xi-prime=0.5,-0.25"], capsys)
+    assert code == 0
+    assert from_config == from_flags
+
+
+def test_config_sweep_sweeps(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sweep": "xi:0:1:3"}))
+    code, out, _ = run_cli(["symbols", "--j", "2", "--config", str(cfg)], capsys)
+    assert code == 0
+    rows = out.strip().splitlines()[2:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.5, 1.0]
+
+
+def test_config_non_finite_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"j": 2, "xi": "nan,0"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["overlap", "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--j", "2", "--sweep", "xi:0:1:3"],
+    ["verify", "--j", "2", "--xi", "1,0"],
+    ["figure", "1", "--j", "10", "--xi", "2"],
+    ["symbols", "--j", "2", "--phi-prime", "0.5"],
+    ["overlap", "--j", "2", "--quad-order", "4"],
+])
+def test_option_the_subcommand_does_not_read_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_output_deterministic_across_runs(tmp_path, capsys):

@@ -17,10 +17,19 @@ def test_deparameterize_unit_symbol():
 
 def test_deparameterize_cosine_symbol():
     tau, phip, w = 0.45, 0.2, 1.0
-    at_slice = clock.deparameterize(lambda xi, r, th: math.cos(th), 9, tau,
+    at_slice = clock.deparameterize(lambda xi, r, th: np.cos(th), 9, tau,
                                     phip, w)
     assert at_slice(1.0 + 0j) == pytest.approx(math.cos(w * tau + phip),
                                                abs=1e-13)
+
+
+def test_deparameterize_array_equals_scalar_calls():
+    at_slice = clock.deparameterize(symbols.q1_position_symbol, 11, tau=2.3,
+                                    phi_prime=0.4)
+    xis = RNG.normal(size=30) + 1j * RNG.normal(size=30)
+    vals = at_slice(xis)
+    assert vals.shape == xis.shape
+    assert np.array_equal(vals, [at_slice(complex(x)) for x in xis])
 
 
 def test_deparameterize_q1_matches_closed_form_up_to_constant():

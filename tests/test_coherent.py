@@ -136,6 +136,27 @@ def test_overlap_real_labels_cosine_law(j):
                                         rel=1e-12)
 
 
+def test_overlap_of_orthogonal_labels_is_zero():
+    # 1 + conj(1) * (-1) = 0: antipodal points on the sphere
+    assert coherent.overlap(1, -1, 2.0) == 0
+
+
+def test_overlap_array_equals_scalar_calls():
+    xi1 = RNG.normal(size=200) + 1j * RNG.normal(size=200)
+    xi2 = RNG.normal(size=200) + 1j * RNG.normal(size=200)
+    xi1[:3] = [1.0, 0.5j, 0.0]
+    xi2[:3] = [-1.0, -2j, 0.0]
+    for j in (0.5, 3.5, 10.0):
+        vals = coherent.overlap(xi1, xi2, j)
+        assert vals.shape == xi1.shape
+        assert vals[0] == vals[1] == 0
+        assert np.array_equal(vals, [coherent.overlap(complex(a), complex(b), j)
+                                     for a, b in zip(xi1, xi2)])
+        # broadcasting one label against many
+        assert np.array_equal(coherent.overlap(xi1, xi2[5], j),
+                              [coherent.overlap(complex(a), complex(xi2[5]), j) for a in xi1])
+
+
 def test_overlap_mismatched_spin_rejected():
     with pytest.raises(ValueError):
         coherent.overlap(0.0, 1.0, 0.7)  # 2j not an integer

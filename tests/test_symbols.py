@@ -94,10 +94,52 @@ def test_project_radius_symbol():
 def test_gauge_odd_symbols_average_to_zero():
     for c in (0.0, 1.1, 4.0):
         reduced = symbols.project_lower_symbol(
-            lambda xi, r, th, c=c: (1 + abs(xi)) * math.sqrt(r) * math.cos(th + c), 8)
+            lambda xi, r, th, c=c: (1 + abs(xi)) * np.sqrt(r) * np.cos(th + c), 8)
         for _ in range(10):
             xi = complex(RNG.normal(), RNG.normal())
             assert abs(reduced(xi)) < 1e-14
+
+
+def _gauge_odd(xi, r, th):
+    return (1 + np.abs(xi)) * np.sqrt(r) * np.cos(th + 1.1)
+
+
+@pytest.mark.parametrize("sym", [symbols.q1_position_symbol, symbols.q2_position_symbol,
+                                 _gauge_odd, lambda xi, r, th: r, lambda xi, r, th: 1.0],
+                         ids=["q1", "q2", "gauge_odd", "r", "constant"])
+def test_reduced_symbol_array_equals_scalar_calls(sym):
+    reduced = symbols.project_lower_symbol(sym, 9)
+    xis = RNG.normal(size=(4, 5)) + 1j * RNG.normal(size=(4, 5))
+    vals = reduced(xis)
+    assert vals.shape == xis.shape
+    assert np.array_equal(vals, [[reduced(complex(x)) for x in row] for row in xis])
+
+
+def _alpha_sq(xi, r, th):
+    t = np.abs(xi) ** 2
+    return r * t / (1 + t)
+
+
+# full lower symbols and the diagonal of their anti-normally ordered
+# operator on the sector m' = 2j: a a^+ = n+1, b b^+ = 2j-n+1, their sum 2j+2
+ANTINORMAL = {
+    "alpha_sq": (_alpha_sq, lambda n, two_j: n + 1),
+    "q1_sq": (lambda xi, r, th: symbols.q1_position_symbol(xi, r, th) ** 2,
+              lambda n, two_j: n + 1),
+    "q2_sq": (lambda xi, r, th: symbols.q2_position_symbol(xi, r, th) ** 2,
+              lambda n, two_j: two_j - n + 1),
+    "r": (lambda xi, r, th: r, lambda n, two_j: np.full_like(n, two_j + 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ANTINORMAL))
+@pytest.mark.parametrize("j", [1.0, 2.0])
+def test_projected_symbol_quantizes_to_antinormal_operator(kind, j):
+    sym, diag = ANTINORMAL[kind]
+    two_j = int(round(2 * j))
+    op = symbols.reconstruct_operator(symbols.project_lower_symbol(sym, two_j), j)
+    expected = np.diag(diag(np.arange(two_j + 1.0), two_j))
+    assert np.max(np.abs(op - expected)) < 1e-10
 
 
 def test_constraint_peaking_relative_error_shrinks():
