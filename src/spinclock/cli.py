@@ -96,15 +96,23 @@ def _sweep_grid(args, var: str, default: tuple[float, float, int] | None = None)
     return np.linspace(sweep[1], sweep[2], sweep[3])
 
 
-def _spin(args) -> float:
-    j, m_prime = args.j, args.m_prime
-    if j is not None and m_prime is not None:
-        raise SpinclockError("give exactly one of --j / --m-prime")
-    if m_prime is not None:
-        return m_prime / 2.0
-    if j is None:
-        raise SpinclockError("one of --j / --m-prime is required")
-    return float(j)
+def _spin(args, default: float | None = None) -> float:
+    """Spin j from the one spin flag given: --j, --m-prime or (clock-trace) --m.
+
+    Without a spin flag this is default, or a usage error when there is none.
+    """
+    flags = {"--j": args.j, "--m-prime": args.m_prime}
+    if "m" in args:
+        flags["--m"] = args.m
+    given = [(flag, value) for flag, value in flags.items() if value is not None]
+    if len(given) > 1:
+        raise SpinclockError(f"give exactly one of {' / '.join(flags)}")
+    if not given:
+        if default is None:
+            raise SpinclockError(f"one of {' / '.join(flags)} is required")
+        return default
+    flag, value = given[0]
+    return float(value) if flag == "--j" else value / 2.0
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -139,10 +147,10 @@ def build_parser() -> _Parser:
                            help="second label as RE,IM (alternative to --sweep)")
         if name == "figure":
             p.add_argument("which", type=int, choices=(1, 2))
-            p.add_argument("--theta", type=float, default=math.pi / 4,
-                           help="reference amplitude angle (figure 1, default pi/4)")
-            p.add_argument("--xi-mag", type=float, default=1.0,
-                           help="reference |xi| (figure 2, default 1)")
+            p.add_argument("--theta", type=float,
+                           help="reference amplitude angle (figure 1 only, default pi/4)")
+            p.add_argument("--xi-mag", type=float,
+                           help="reference |xi| (figure 2 only, default 1)")
             p.add_argument("--antipodal", action="store_true",
                            help="interpret angles on the swapped-oscillator chart")
         if name == "clock-trace":
@@ -188,7 +196,9 @@ def cmd_figure(args) -> int:
     j = _spin(args)
     chart = "antipodal" if args.antipodal else "primary"
     if args.which == 1:
-        theta = args.theta
+        if args.xi_mag is not None:
+            raise SpinclockError("figure 1 does not read --xi-mag")
+        theta = math.pi / 4 if args.theta is None else args.theta
         if args.antipodal:
             theta = math.pi / 2 - theta
         grid = _sweep_grid(args, "theta_prime", (theta - 0.75, theta + 0.75, 201))
@@ -197,8 +207,11 @@ def cmd_figure(args) -> int:
         trace = clock.amplitude_correlation(theta, j, grid)
         sweep_name = "theta_prime"
     else:
+        if args.theta is not None:
+            raise SpinclockError("figure 2 does not read --theta")
         grid = _sweep_grid(args, "delta_phi", (-math.pi, math.pi, 201))
-        trace = clock.phase_correlation(args.xi_mag, j, grid)
+        xi_mag = 1.0 if args.xi_mag is None else args.xi_mag
+        trace = clock.phase_correlation(xi_mag, j, grid)
         sweep_name = "delta_phi"
     n = len(trace.sweep)
     cols = {
@@ -215,7 +228,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_clock_trace(args) -> int:
-    m = args.m if args.m is not None else int(round(2 * _spin(args)))
+    m = int(round(2 * _spin(args)))
     xi, omega, phi_prime = args.xi, args.omega, args.phi_prime
     taus = _sweep_grid(args, "tau", (0.0, 4 * math.pi, 201))
     quantum = clock.clock_symbol_q1(xi, m, taus, phi_prime, omega)
@@ -260,11 +273,7 @@ def cmd_symbols(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    j = args.j
-    if j is None and args.m_prime is not None:
-        j = args.m_prime / 2.0
-    if j is None:
-        j = 5.0
+    j = _spin(args, default=5.0)
     results = verify.run_checks(j=j, seed=args.seed, quad_order=args.quad_order)
     all_passed = all(r.passed for r in results)
     meta = _meta(args, command="verify", j=j)

@@ -120,10 +120,8 @@ def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
     two_j = _check_two_j(j)
     if grid is None:
         grid = sphere_grid(j, n_polar=two_j + 6)
-    vecs = kernels.coherent_amplitudes(grid.xi, two_j)
     vals = clock_symbol_q1_batch(grid.xi, two_j, tau, phi_prime, omega)
-    return ((two_j + 1) / np.pi) * kernels.accumulate_projectors(
-        vecs, grid.weights * vals.astype(np.complex128))
+    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.weights * vals, two_j)
 
 
 def clock_symbol_q1_batch(xis: np.ndarray, m: int, tau: float,

@@ -103,8 +103,7 @@ def resolution_of_unity(j: float, grid: SphereGrid | None = None) -> np.ndarray:
     two_j = _check_two_j(j)
     if grid is None:
         grid = sphere_grid(j)
-    vecs = kernels.coherent_amplitudes(grid.xi, two_j)
-    return ((two_j + 1) / np.pi) * kernels.accumulate_projectors(vecs, grid.weights)
+    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.weights, two_j)
 
 
 def radial_weight(r, m: int):

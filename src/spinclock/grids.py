@@ -6,6 +6,12 @@ the angles xi = tan(Theta/2) e^{i phi} it becomes (1/4) sin(Theta) dTheta
 dphi, so Gauss-Legendre nodes in u = cos(Theta) together with a uniform
 azimuth grid integrate every polynomial integrand exactly.
 
+Layout invariant: the nodes are stored ring by ring, azimuth fastest.
+Node k = p * n_azimuthal + a sits on polar ring p at azimuth
+2 pi a / n_azimuthal, so the consecutive blocks of n_azimuthal nodes are
+the rings, each starting at azimuth 0.  kernels.ring_projector_sum relies
+on this to sum projectors with one azimuthal FFT per ring.
+
 The radial weight is r^{m+1} e^{-r} / (m+1)!.  Nodes and *normalized*
 weights come from the Golub-Welsch eigenproblem of the generalized
 Laguerre recurrence; normalizing at this stage avoids the Gamma(m+2)
@@ -21,10 +27,9 @@ import numpy as np
 class SphereGrid:
     """Quadrature over the reduced phase space (stereographic chart)."""
 
-    theta: np.ndarray  # polar angles Theta of the nodes
-    phi: np.ndarray  # azimuth angles
     weights: np.ndarray  # positive, sum = pi
     xi: np.ndarray  # complex chart coordinates tan(Theta/2) e^{i phi}
+    n_azimuthal: int  # nodes per ring; rings are consecutive blocks of this length
 
     def __len__(self) -> int:
         return self.xi.shape[0]
@@ -54,15 +59,13 @@ def sphere_grid(j: float, n_polar: int | None = None, n_azimuthal: int | None = 
         n_azimuthal = 2 * two_j + 4
     u, wu = np.polynomial.legendre.leggauss(n_polar)
     phi = np.arange(n_azimuthal) * (2.0 * np.pi / n_azimuthal)
-    theta = np.arccos(u)
 
     # tensor product, azimuth fastest
-    th = np.repeat(theta, n_azimuthal)
     ph = np.tile(phi, n_polar)
     w = np.repeat(wu, n_azimuthal) * (2.0 * np.pi / n_azimuthal) * 0.25
     rho = np.sqrt((1.0 - np.repeat(u, n_azimuthal)) / (1.0 + np.repeat(u, n_azimuthal)))
     xi = rho * np.exp(1j * ph)
-    return SphereGrid(theta=th, phi=ph, weights=w, xi=xi)
+    return SphereGrid(weights=w, xi=xi, n_azimuthal=n_azimuthal)
 
 
 def radial_grid(m: int, order: int = 32) -> RadialGrid:

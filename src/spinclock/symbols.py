@@ -97,9 +97,8 @@ def reconstruct_operator(sym: ReducedLowerSymbol, j: float,
     two_j = _check_two_j(j)
     if grid is None:
         grid = sphere_grid(j)
-    vecs = kernels.coherent_amplitudes(grid.xi, two_j)
-    vals = np.broadcast_to(sym(grid.xi), grid.xi.shape).astype(np.complex128)
-    return ((two_j + 1) / np.pi) * kernels.accumulate_projectors(vecs, grid.weights * vals)
+    vals = np.broadcast_to(sym(grid.xi), grid.xi.shape)
+    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.weights * vals, two_j)
 
 
 def q2_position_symbol(xi, r, theta, omega: float = 1.0, hbar: float = 1.0):

@@ -65,6 +65,17 @@ def test_spin_flag_conflict_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--j", "1", "--m-prime", "4"],
+    ["clock-trace", "--m", "10", "--j", "7"],
+    ["clock-trace", "--m", "10", "--m-prime", "10"],
+])
+def test_second_spin_flag_is_usage_error(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "give exactly one of" in err
+
+
 def test_missing_spin_is_usage_error(capsys):
     code, _, _ = run_cli(["overlap"], capsys)
     assert code == 1
@@ -109,9 +120,11 @@ def test_non_finite_input_is_usage_error(argv, capsys):
 
 
 def test_import_pulls_in_neither_scipy_nor_numba():
+    # numpy.fft too: only commands that assemble an operator pay for it
     code = ("import sys, spinclock.cli\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('scipy', 'numba')))\n")
+            "             if m.split('.')[0] in ('scipy', 'numba')\n"
+            "             or m.startswith('numpy.fft')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
@@ -148,6 +161,16 @@ def test_figure_chart_pole_guidance(capsys):
                             "--theta", repr(math.pi / 2)], capsys)
     assert code == 1
     assert "antipodal" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "1", "--j", "10", "--xi-mag", "3"],
+    ["figure", "2", "--j", "10", "--theta", "0.3"],
+])
+def test_figure_rejects_the_other_figures_option(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "does not read" in err
 
 
 def test_clock_trace_zero_label(tmp_path, capsys):

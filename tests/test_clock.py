@@ -116,6 +116,19 @@ def test_clock_operator_hermitian_traceless(j):
         assert abs(np.trace(op)) < 1e-12
 
 
+def test_clock_operator_large_spin_is_tridiagonal():
+    # q1' carries the azimuthal harmonics e^{+-i phi} only, so the operator
+    # couples neighbouring number states and nothing else
+    op = clock.clock_operator(200.0, 0.7)
+    assert np.max(np.abs(op - op.conj().T)) < 1e-13
+    assert abs(np.trace(op)) < 1e-12
+    n = np.arange(op.shape[0] - 1)
+    far = op.copy()
+    far[n, n + 1] = far[n + 1, n] = 0.0
+    assert np.max(np.abs(far)) < 1e-13
+    assert np.min(np.abs(op[n, n + 1])) > 0.1
+
+
 def test_clock_operator_upper_symbol_sinusoidal():
     j = 3.0
     xi = 0.9 - 0.4j

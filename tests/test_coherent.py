@@ -188,7 +188,8 @@ def test_resolution_of_unity_scalar():
     assert res[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("j,tol", [(0.5, 1e-12), (10.0, 1e-10)])
+@pytest.mark.parametrize("j,tol", [(0.5, 1e-12), (10.0, 1e-10), (100.0, 1e-10),
+                                   (200.0, 1e-10)])
 def test_resolution_of_unity(j, tol):
     res = coherent.resolution_of_unity(j)
     dim = int(round(2 * j)) + 1
