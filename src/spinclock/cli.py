@@ -37,8 +37,9 @@ def _fmt(x) -> str:
 def _parse_complex(text: str) -> complex:
     re, _, im = text.partition(",")
     z = complex(float(re), float(im) if im else 0.0)
-    if not cmath.isfinite(z):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite RE,IM pair")
+    # |z| beyond the largest float is the chart pole z = inf to double precision
+    if not (cmath.isfinite(z) and math.isfinite(math.hypot(z.real, z.imag))):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a RE,IM pair of finite modulus")
     return z
 
 

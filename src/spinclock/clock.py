@@ -121,7 +121,9 @@ def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
     if grid is None:
         grid = sphere_grid(j, n_polar=two_j + 6)
     vals = clock_symbol_q1_batch(grid.xi, two_j, tau, phi_prime, omega)
-    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.weights * vals, two_j)
+    # on a ring the symbol is one harmonic cos(phi + ...): columns +-1 only
+    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.weights * vals, two_j,
+                                                              band={1, -1})
 
 
 def clock_symbol_q1_batch(xis: np.ndarray, m: int, tau: float,

@@ -80,22 +80,31 @@ def overlap(xi1, xi2, j: float):
     xi2 = np.asarray(xi2, dtype=np.complex128)
     # conj(xi1) xi2 by components: numpy's complex array multiply fuses
     # multiply-adds and so rounds differently from scalar complex arithmetic
-    inner = (1.0 + (xi1.real * xi2.real + xi1.imag * xi2.imag)) \
-        + 1j * (xi1.real * xi2.imag - xi1.imag * xi2.real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = (1.0 + (xi1.real * xi2.real + xi1.imag * xi2.imag)) \
+            + 1j * (xi1.real * xi2.imag - xi1.imag * xi2.real)
     orthogonal = inner == 0
-    log_ov = two_j * np.log(np.where(orthogonal, 1.0, inner)) \
-        - 0.5 * two_j * (np.log1p(_abs_sq(xi1)) + np.log1p(_abs_sq(xi2)))
+    # where conj(xi1) xi2 overflows its modulus exceeds 1e308, and
+    # log(inner) = log(conj(xi1)) + log(xi2) + log1p(1/(conj(xi1) xi2)) drops
+    # a last term below 1e-308
+    far = ~np.isfinite(inner)
+    log_inner = np.where(
+        far, np.log(np.where(far, xi1, 1.0).conj()) + np.log(np.where(far, xi2, 1.0)),
+        np.log(np.where(orthogonal | far, 1.0, inner)))
+    log_ov = two_j * log_inner - 0.5 * two_j * (_log1p_abs_sq(xi1) + _log1p_abs_sq(xi2))
     return np.where(orthogonal, 0.0, np.exp(log_ov))[()]
 
 
-def _abs_sq(z: np.ndarray) -> np.ndarray:
-    """|z|^2 rounded as Python's abs(z) ** 2 rounds it.
+def _log1p_abs_sq(z: np.ndarray) -> np.ndarray:
+    """log(1 + |z|^2) with |z|^2 rounded as Python's abs(z) ** 2 rounds it.
 
     np.hypot rounds |z| as abs does, and float_power calls the C pow that
     ** calls; np.abs and ** 2 (np.square) on arrays each differ from them
-    in the last ulp for some z.
+    in the last ulp for some z.  Finite for every finite |z|.
     """
-    return np.float_power(np.hypot(z.real, z.imag), 2)
+    a = np.hypot(z.real, z.imag)
+    with np.errstate(over="ignore"):  # log1p_square takes over where |z|^2 overflows
+        return kernels.log1p_square(a, np.float_power(a, 2))
 
 
 def resolution_of_unity(j: float, grid: SphereGrid | None = None) -> np.ndarray:
@@ -103,7 +112,9 @@ def resolution_of_unity(j: float, grid: SphereGrid | None = None) -> np.ndarray:
     two_j = _check_two_j(j)
     if grid is None:
         grid = sphere_grid(j)
-    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.weights, two_j)
+    # the coefficients are the ring weights, constant on each ring: column 0 only
+    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.ring_weights, two_j,
+                                                              band={0})
 
 
 def radial_weight(r, m: int):

@@ -6,11 +6,15 @@ the angles xi = tan(Theta/2) e^{i phi} it becomes (1/4) sin(Theta) dTheta
 dphi, so Gauss-Legendre nodes in u = cos(Theta) together with a uniform
 azimuth grid integrate every polynomial integrand exactly.
 
-Layout invariant: the nodes are stored ring by ring, azimuth fastest.
-Node k = p * n_azimuthal + a sits on polar ring p at azimuth
-2 pi a / n_azimuthal, so the consecutive blocks of n_azimuthal nodes are
-the rings, each starting at azimuth 0.  kernels.ring_projector_sum relies
-on this to sum projectors with one azimuthal FFT per ring.
+Layout: the grid is a tensor product of n_polar Gauss-Legendre rings and
+n_azimuthal uniform azimuths, and it stores only what varies between
+rings: each ring's radius rho_p = tan(Theta_p/2) and the weight of each of
+its nodes.  The flat node views number node k = p * n_azimuthal + a, on
+ring p at azimuth 2 pi a / n_azimuthal, so consecutive blocks of
+n_azimuthal nodes are the rings, each starting at azimuth 0.
+kernels.ring_projector_sum works on the rings directly; only a caller that
+evaluates a symbol builds the node labels grid.xi, from n_polar radii and
+n_azimuthal phase factors.
 
 The radial weight is r^{m+1} e^{-r} / (m+1)!.  Nodes and *normalized*
 weights come from the Golub-Welsch eigenproblem of the generalized
@@ -25,14 +29,25 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Quadrature over the reduced phase space (stereographic chart)."""
+    """Quadrature over the reduced phase space (stereographic chart), ring by ring."""
 
-    weights: np.ndarray  # positive, sum = pi
-    xi: np.ndarray  # complex chart coordinates tan(Theta/2) e^{i phi}
-    n_azimuthal: int  # nodes per ring; rings are consecutive blocks of this length
+    rho: np.ndarray  # radius |xi| = tan(Theta/2) of each polar ring
+    ring_weights: np.ndarray  # weight of every node on each ring; n_azimuthal * sum = pi
+    n_azimuthal: int  # nodes per ring, at azimuths 2 pi a / n_azimuthal
+
+    @property
+    def xi(self) -> np.ndarray:
+        """Complex chart coordinate rho_p e^{i phi_a} of every node, rings in order."""
+        phi = np.arange(self.n_azimuthal) * (2.0 * np.pi / self.n_azimuthal)
+        return np.outer(self.rho, np.exp(1j * phi)).ravel()
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Positive weight of every node, rings in order; sum = pi."""
+        return np.repeat(self.ring_weights, self.n_azimuthal)
 
     def __len__(self) -> int:
-        return self.xi.shape[0]
+        return self.rho.shape[0] * self.n_azimuthal
 
 
 @dataclass(frozen=True)
@@ -58,14 +73,9 @@ def sphere_grid(j: float, n_polar: int | None = None, n_azimuthal: int | None = 
     if n_azimuthal is None:
         n_azimuthal = 2 * two_j + 4
     u, wu = np.polynomial.legendre.leggauss(n_polar)
-    phi = np.arange(n_azimuthal) * (2.0 * np.pi / n_azimuthal)
-
-    # tensor product, azimuth fastest
-    ph = np.tile(phi, n_polar)
-    w = np.repeat(wu, n_azimuthal) * (2.0 * np.pi / n_azimuthal) * 0.25
-    rho = np.sqrt((1.0 - np.repeat(u, n_azimuthal)) / (1.0 + np.repeat(u, n_azimuthal)))
-    xi = rho * np.exp(1j * ph)
-    return SphereGrid(weights=w, xi=xi, n_azimuthal=n_azimuthal)
+    return SphereGrid(rho=np.sqrt((1.0 - u) / (1.0 + u)),
+                      ring_weights=wu * (2.0 * np.pi / n_azimuthal) * 0.25,
+                      n_azimuthal=n_azimuthal)
 
 
 def radial_grid(m: int, order: int = 32) -> RadialGrid:

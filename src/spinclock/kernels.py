@@ -5,19 +5,34 @@ spin coherent-state amplitude vectors and (2) summing the weighted
 rank-one projectors  sum_k c_k |xi_k><xi_k|  over a sphere grid.
 
 Amplitudes are computed in the log domain so that large spins and large
-|xi| neither overflow nor lose the normalization.
+|xi| neither overflow nor lose the normalization; log(1 + |xi|^2) stays
+finite where |xi|^2 itself overflows (log1p_square).
 
-The projector sum uses the ring layout of the sphere grid (see grids).
-On a ring of radius rho the amplitudes factor as
-a_n(rho) e^{i n phi} with real a_n, so entry (n, n') of the sum is
+The projector sum works on the rings of the sphere grid (see grids).
+On a ring of radius rho the amplitudes factor as a_n(rho) e^{i n phi}
+with real a_n, so entry (n, n') of the sum is
 
     sum_rings a_n a_n' sum_phi c(rho, phi) e^{i (n - n') phi},
 
 and the inner sum is column (n' - n) mod n_azimuthal of the azimuthal
-FFT of c on that ring.  One FFT per ring and one weighted sum over the
-rings per diagonal n - n' replace the dense sum over all nodes: the cost
-falls from O(npts dim^2) to O(n_polar (n_az log n_az + dim^2)), and the
-temporaries are n_polar x n_az (the FFT) and n_polar x dim (the ring
+FFT of c on that ring.  Each operator knows which of these ring Fourier
+columns its coefficients can reach (its band), and diagonal n - n' reads
+only one column, so the kernel computes the diagonals whose column is in
+the band and leaves the rest exactly zero:
+
+    resolution_of_unity    band {0}    constant on each ring, no FFT
+    clock_operator         band {+-1}  one harmonic cos(phi + ...)
+    reconstruct_operator   all columns the symbol is a black box
+
+For real coefficients the spectrum has column -q = conj(column q), so
+one np.fft.rfft per ring gives every column and the kernel computes one
+triangle and mirrors it as its conjugate: the result is exactly
+Hermitian.  Each computed diagonal d costs one weighted sum over the
+rings of a_n a_{n-d}, O(n_polar (dim - d)); the full band costs
+O(n_polar (n_az log n_az + dim^2)) against O(npts dim^2) for the dense
+sum over all nodes, band {0} O(n_polar dim) and band {+-1}
+O(n_polar (n_az log n_az + dim)).  The temporaries are n_polar x n_az
+(the coefficients and their spectrum) and n_polar x dim (the ring
 amplitudes), never npts x dim.
 """
 
@@ -39,6 +54,30 @@ def _log_binomial_halves(two_j: int) -> np.ndarray:
     )
 
 
+def log1p_square(a, a_sq):
+    """log(1 + a^2) for a >= 0, given a_sq = a^2 as the caller rounds it.
+
+    This is np.log1p(a_sq), bit for bit, wherever a_sq is finite.  Where
+    a^2 overflows to inf it is 2 log(a) + log1p(a^-2), so it stays finite
+    for every finite a.
+    """
+    far = np.isinf(a_sq)
+    a_far = np.where(far, a, 1.0)
+    return np.where(far, 2.0 * np.log(a_far) + np.log1p(a_far ** -2.0), np.log1p(a_sq))
+
+
+def _log_magnitudes(ax: np.ndarray, two_j: int) -> np.ndarray:
+    """log |c_n| = 0.5 log C(2j,n) + n log|xi| - j log(1+|xi|^2) for |xi| = ax > 0.
+
+    Returns a (len(ax), 2j+1) real array.
+    """
+    with np.errstate(over="ignore"):  # log1p_square takes over where ax^2 overflows
+        ax_sq = ax ** 2
+    base = -0.5 * two_j * log1p_square(ax, ax_sq)
+    return _log_binomial_halves(two_j)[None, :] + np.outer(np.log(ax), np.arange(two_j + 1)) \
+        + base[:, None]
+
+
 def coherent_amplitudes(xi, two_j: int) -> np.ndarray:
     """Amplitude vectors of spin coherent states for a batch of labels.
 
@@ -50,37 +89,57 @@ def coherent_amplitudes(xi, two_j: int) -> np.ndarray:
     ax = np.abs(xi)
     nz = ax > 0.0
     out[~nz, 0] = 1.0
-    n = np.arange(two_j + 1)
-    la = np.log(ax[nz])
     ph = np.angle(xi[nz])
-    base = -0.5 * two_j * np.log1p(ax[nz] ** 2)
-    logmag = _log_binomial_halves(two_j)[None, :] + np.outer(la, n) + base[:, None]
-    out[nz, :] = np.exp(logmag + 1j * np.outer(ph, n))
+    out[nz, :] = np.exp(_log_magnitudes(ax[nz], two_j) + 1j * np.outer(ph, np.arange(two_j + 1)))
     return out
 
 
-def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
+def ring_projector_sum(grid: SphereGrid, coeff, two_j: int, band=None) -> np.ndarray:
     """sum_k coeff[k] |xi_k><xi_k| over the nodes of grid, a dense (2j+1, 2j+1) matrix.
 
-    coeff holds one value per grid node, in the grid's order.  The
-    reductions over rings run in einsum, not in BLAS, so the bytes of the
-    result do not depend on the BLAS thread count.
+    coeff holds one value per grid node in the grid's order, or one value
+    per ring when it is constant on each ring.  band is the set of ring
+    Fourier columns q (taken mod n_azimuthal) where coeff may be non-zero,
+    or None for all of them; diagonal d of the result is computed when d
+    or -d is in band mod n_azimuthal and is exactly zero otherwise, so a
+    grid with n_azimuthal <= 2j still gives the aliased quadrature sum.
+    Real coefficients give an exactly Hermitian result; complex ones are
+    summed as S(Re coeff) + i S(Im coeff).  The reductions over rings run
+    in einsum, not in BLAS, so the bytes of the result do not depend on
+    the BLAS thread count.
     """
-    dim = two_j + 1
-    n_az = grid.n_azimuthal
-    # fourier[p, q] = sum_a coeff[p, a] e^{-2 pi i q a / n_az} on ring p; its
-    # real and imaginary parts go through separate real einsums, which run
-    # about twice as fast as one complex einsum
-    fourier = np.fft.fft(np.asarray(coeff, dtype=np.complex128).reshape(-1, n_az), axis=1)
-    f_re, f_im = fourier.real.T.copy(), fourier.imag.T.copy()
-    # each ring starts at azimuth 0, where the amplitudes are real
-    amps = coherent_amplitudes(np.abs(grid.xi[::n_az]), two_j).real
-    out = np.empty((dim, dim), dtype=np.complex128)
+    coeff = np.asarray(coeff)
+    if np.iscomplexobj(coeff):
+        return (ring_projector_sum(grid, coeff.real, two_j, band)
+                + 1j * ring_projector_sum(grid, coeff.imag, two_j, band))
+    dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
+    coeff = coeff.reshape(n_polar, -1)
+    # spectrum[p, q] = sum_a coeff[p, a] e^{-2 pi i q a / n_az} for q <= n_az // 2;
+    # column n_az - q is its conjugate because coeff is real
+    if coeff.shape[1] == 1:  # constant on each ring: column 0 only, no FFT
+        spectrum = np.zeros((n_polar, n_az // 2 + 1), dtype=np.complex128)
+        spectrum[:, 0] = n_az * coeff[:, 0]
+    else:
+        spectrum = np.fft.rfft(coeff, axis=1)
+    if band is not None:
+        band = {q % n_az for q in band}
+    # ring amplitudes a_n(rho_p) with rows n: every ring starts at azimuth 0,
+    # where the amplitudes are real (rho > 0 at every Gauss-Legendre node)
+    amps = np.exp(_log_magnitudes(grid.rho, two_j)).T.copy()
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    # flat views: entry (n, n') of out is element n * dim + n' of each
+    out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
     for d in range(dim):
-        n = np.arange(d, dim)
-        prod = amps[:, d:] * amps[:, :dim - d]  # a_n a_{n-d} on every ring
-        # entries (n, n-d) carry e^{i d phi}, entries (n-d, n) e^{-i d phi}
-        for rows, cols, q in ((n, n - d, -d % n_az), (n - d, n, d % n_az)):
-            out.real[rows, cols] = np.einsum("r,rn->n", f_re[q], prod)
-            out.imag[rows, cols] = np.einsum("r,rn->n", f_im[q], prod)
+        q = d % n_az
+        if band is not None and q not in band and -q % n_az not in band:
+            continue
+        column = spectrum[:, q] if q <= n_az // 2 else spectrum[:, n_az - q].conj()
+        # entries (n-d, n) carry e^{-i d phi}: sum_p a_{n-d} a_n column[p]
+        upper = np.einsum("nr,kr->kn", amps[d:] * amps[:dim - d],
+                          np.stack((column.real, column.imag)))
+        above = slice(d, (dim - d) * dim, dim + 1)  # entries (n-d, n)
+        below = slice(d * dim, None, dim + 1)  # entries (n, n-d)
+        out_re[below] = out_re[above] = upper[0]
+        out_im[below] = -upper[1]
+        out_im[above] = upper[1]
     return out

@@ -49,7 +49,14 @@ def spin_symbols_closed_form(xi: complex, j: float) -> tuple[float, float, float
     triple with +Im(xi) is a reflection of the expectation vector and
     would anti-commute the algebra).
     """
-    t = abs(xi) ** 2
+    try:
+        t = abs(xi) ** 2
+    except OverflowError:
+        # |xi|^2 overflows: the same point from the antipodal label eta = 1/xi
+        eta = 1.0 / xi
+        t = abs(eta) ** 2
+        denom = 1.0 + t
+        return 2.0 * j * eta.real / denom, 2.0 * j * eta.imag / denom, j * (1.0 - t) / denom
     denom = 1.0 + t
     s1 = 2.0 * j * xi.real / denom
     s2 = -2.0 * j * xi.imag / denom
@@ -97,7 +104,9 @@ def reconstruct_operator(sym: ReducedLowerSymbol, j: float,
     two_j = _check_two_j(j)
     if grid is None:
         grid = sphere_grid(j)
-    vals = np.broadcast_to(sym(grid.xi), grid.xi.shape)
+    xi = grid.xi
+    vals = np.broadcast_to(sym(xi), xi.shape)
+    # sym is a black box, so every ring Fourier column may be non-zero
     return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.weights * vals, two_j)
 
 

@@ -37,6 +37,15 @@ def test_overlap_self_pair(capsys):
     assert float(last.split(",")[-1]) == pytest.approx(1.0)
 
 
+def test_overlap_of_label_whose_abs_sq_overflows(capsys):
+    code, out, _ = run_cli(["overlap", "--j", "2", "--xi", "1e160,0",
+                            "--xi-prime", "1e160,0"], capsys)
+    assert code == 0
+    header, row = out.strip().splitlines()[1:]
+    row = dict(zip(header.split(","), row.split(",")))
+    assert float(row["overlap_abs"]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_overlap_sweep_matches_cosine_law(capsys):
     code, out, _ = run_cli(["overlap", "--j", "10", "--xi", "0,0",
                             "--sweep", "xi_prime:0:2:21"], capsys)
@@ -111,6 +120,7 @@ def test_sweep_of_wrong_variable_is_usage_error(argv, capsys):
     ["overlap", "--j", "2", "--xi", "0,0", "--sweep", "xi_prime:-inf:1:3"],
     ["overlap", "--j", "2", "--xi", "inf,0", "--xi-prime", "1,0"],
     ["overlap", "--j", "2", "--xi", "0,0", "--xi-prime", "1,nan"],
+    ["overlap", "--j", "2", "--xi", "1.5e308,1.5e308", "--xi-prime", "1,0"],
 ])
 def test_non_finite_input_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -207,6 +217,20 @@ def test_symbols_closed_form_matches_matrix(tmp_path, capsys):
         for k in ("s1", "s2", "s3"):
             assert float(row[f"{k}_closed"]) == pytest.approx(
                 float(row[f"{k}_upper"]), abs=1e-12)
+
+
+def test_symbols_of_labels_whose_abs_sq_overflows(capsys):
+    code, out, _ = run_cli(["symbols", "--j", "2", "--sweep", "xi:1e160:2e160:2"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    header = lines[1].split(",")
+    for line in lines[2:]:
+        row = {k: float(v) for k, v in zip(header, line.split(","))}
+        # near the pole xi = inf: (s1, s2, s3) = (2j / xi, 0, j)
+        assert row["s1_closed"] == pytest.approx(4.0 / row["xi_re"], rel=1e-12)
+        assert row["s3_closed"] == pytest.approx(2.0, abs=1e-12)
+        assert row["s3_upper"] == pytest.approx(2.0, abs=1e-12)
+        assert row["s1_upper"] == pytest.approx(row["s1_closed"], rel=1e-10)
 
 
 def test_verify_passes_and_exit_zero(tmp_path, capsys):

@@ -129,6 +129,19 @@ def test_clock_operator_large_spin_is_tridiagonal():
     assert np.min(np.abs(op[n, n + 1])) > 0.1
 
 
+@pytest.mark.parametrize("j", [5.0, 50.0])
+def test_clock_operator_covariant_under_number_phase(j):
+    # q1'(xi; tau + delta) = q1'(e^{i delta} xi; tau) and |e^{-i delta} xi> =
+    # e^{-i delta N} |xi> with N = diag(n), so C(tau + delta) =
+    # e^{-i delta N} C(tau) e^{i delta N}
+    tau, delta = 0.4, 1.3
+    n = np.arange(int(round(2 * j)) + 1)
+    rot = np.exp(-1j * delta * n)
+    want = rot[:, None] * clock.clock_operator(j, tau) * rot.conj()[None, :]
+    got = clock.clock_operator(j, tau + delta)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_clock_operator_upper_symbol_sinusoidal():
     j = 3.0
     xi = 0.9 - 0.4j

@@ -44,6 +44,23 @@ def test_su2_coherent_large_arguments_stay_normalized():
         assert np.vdot(v, v).real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_su2_coherent_beyond_overflow_of_abs_sq():
+    # |xi|^2 overflows for |xi| > 1.3e154; the state is then e_{2j} times the phase of xi^{2j}
+    for xi, phase in ((1e160, 1.0), (-1e160j, -1.0), (1.5e308, 1.0)):
+        v = coherent.su2_coherent(xi, 1.0)
+        assert np.vdot(v, v).real == pytest.approx(1.0, abs=1e-12)
+        assert v[-1] == pytest.approx(phase, abs=1e-12)
+
+
+def test_overlap_beyond_overflow_of_abs_sq():
+    # near the pole xi = inf: <xi|xi> = 1, <xi|-xi> = (-1)^{2j}, and
+    # <xi|eta> = (1 + conj(xi) eta)^{2j} / (1+|xi|^2)^j for |eta| << 1/|xi|
+    assert coherent.overlap(1e160, 1e160, 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert coherent.overlap(1e160j, 1e160j, 3.5) == pytest.approx(1.0, abs=1e-12)
+    assert coherent.overlap(1e160, -1e160, 2.5) == pytest.approx(-1.0, abs=1e-12)
+    assert coherent.overlap(1e160, 1e-170, 0.5) == pytest.approx(1e-160, rel=1e-12)
+
+
 def test_project_coherent_alpha_zero():
     amps, _ = coherent.project_coherent(0.0, 1.0, 2)
     assert amps[1] == 0 and amps[2] == 0

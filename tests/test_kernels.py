@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinclock import kernels
+from spinclock import coherent, kernels, symbols
 from spinclock.grids import sphere_grid
 
 
@@ -42,10 +42,34 @@ def test_ring_projector_sum_matches_direct_sum():
             assert np.max(np.abs(ring - direct)) < 1e-13
 
 
+@pytest.mark.parametrize("two_j,n_azimuthal", [(6, 1), (6, 2), (6, 3), (7, 5), (8, 8)])
+def test_aliased_grid_matches_direct_sum(two_j, n_azimuthal):
+    # with n_azimuthal <= 2j the azimuthal rule aliases harmonic d onto
+    # d mod n_azimuthal, so band-limited operators must still fill those diagonals
+    j = two_j / 2
+    grid = sphere_grid(j, n_azimuthal=n_azimuthal)
+    vecs = kernels.coherent_amplitudes(grid.xi, two_j)
+
+    def direct(coeff):
+        total = sum(c * np.outer(v, v.conj()) for v, c in zip(vecs, grid.weights * coeff))
+        return (two_j + 1) / np.pi * total
+
+    def sym(xi):
+        return np.exp(xi.real - 0.5 * xi.imag) / (1.0 + np.abs(xi) ** 2)
+
+    assert np.max(np.abs(coherent.resolution_of_unity(j, grid) - direct(1.0))) < 1e-13
+    got = symbols.reconstruct_operator(sym, j, grid)
+    assert np.max(np.abs(got - direct(sym(grid.xi)))) < 1e-13
+
+
 def test_operators_independent_of_blas_thread_count():
+    # the azimuth-dependent symbol runs reconstruct_operator over every diagonal
     code = ("import hashlib\n"
-            "from spinclock import clock, coherent\n"
-            "for op in (coherent.resolution_of_unity(100), clock.clock_operator(100, 0.7)):\n"
+            "import numpy as np\n"
+            "from spinclock import clock, coherent, symbols\n"
+            "sym = lambda xi: np.exp(xi.real) / (1 + np.abs(xi) ** 2)\n"
+            "for op in (coherent.resolution_of_unity(100), clock.clock_operator(100, 0.7),\n"
+            "           symbols.reconstruct_operator(sym, 100)):\n"
             "    print(hashlib.sha256(op.tobytes()).hexdigest())\n")
     digests = []
     for threads in ("1", "4"):

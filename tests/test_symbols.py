@@ -61,6 +61,14 @@ def test_spin_symbols_imaginary_label():
         assert abs(symbols.upper_symbol(mat, 1j, 2.0) - val) < 1e-13
 
 
+def test_spin_symbols_beyond_overflow_of_abs_sq():
+    # |xi|^2 overflows; the closed form goes through the antipodal label 1/xi
+    for xi, want in ((1e160, (4e-160, 0.0, 2.0)), (1e160j, (0.0, -4e-160, 2.0)),
+                     (complex(1.5e308, -1.5e308), (0.0, 0.0, 2.0))):
+        got = symbols.spin_symbols_closed_form(xi, 2.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
 def test_spin_symbols_sphere_identity():
     for _ in range(100):
         xi = complex(RNG.normal(), RNG.normal())
@@ -225,3 +233,34 @@ def test_normalization_transport_composition():
     reduced = symbols.project_lower_symbol(lambda xi, r, th: 1.0, m)
     op = symbols.reconstruct_operator(reduced, m / 2.0)
     assert np.max(np.abs(op - np.eye(m + 1))) < 1e-10
+
+
+def _berezin_eigenvalue(l, two_j):
+    """lambda_l = (2j)!(2j+1)!/((2j+l+1)!(2j-l)!), and 0 for l > 2j."""
+    if l > two_j:
+        return 0.0
+    f = math.factorial
+    return f(two_j) * f(two_j + 1) / (f(two_j + l + 1) * f(two_j - l))
+
+
+def _harmonics(xi):
+    """Spherical harmonics of degree l at xi = tan(Theta/2) e^{i phi}, keyed (l, name)."""
+    t = np.abs(xi) ** 2
+    u = (1.0 - t) / (1.0 + t)  # cos(Theta)
+    sin_e = 2.0 * xi / (1.0 + t)  # sin(Theta) e^{i phi}
+    return {(0, "P0"): np.ones_like(u), (1, "P1"): u, (2, "P2"): (3 * u**2 - 1) / 2,
+            (3, "P3"): (5 * u**3 - 3 * u) / 2, (1, "Y11"): sin_e.real,
+            (2, "Y22"): (sin_e**2).imag, (3, "Y31"): sin_e.real * (5 * u**2 - 1)}
+
+
+@pytest.mark.parametrize("j", [1.0, 2.5, 10.0])
+def test_reconstruct_then_upper_symbol_is_berezin_eigenvalue(j):
+    # Berezin (1975): the P-representation followed by the upper symbol scales
+    # a degree-l harmonic by lambda_l; the azimuthal ones reach off-diagonals
+    two_j = int(round(2 * j))
+    xis = np.array([0.0, 0.35 - 0.8j, -1.7 + 0.2j, 4.0j])
+    for l, name in _harmonics(xis):
+        op = symbols.reconstruct_operator(lambda xi: _harmonics(xi)[l, name], j)
+        got = np.array([symbols.upper_symbol(op, x) for x in xis])
+        want = _berezin_eigenvalue(l, two_j) * _harmonics(xis)[l, name]
+        assert np.max(np.abs(got - want)) < 1e-12, (l, name)
