@@ -250,25 +250,13 @@ def cmd_clock_trace(args) -> int:
 
 def cmd_symbols(args) -> int:
     j = _spin(args)
-    m_prime = int(round(2 * j))
     xis = _sweep_grid(args, "xi", (0.0, 3.0, 61)).astype(complex)
-    mats = fock.spin_operators(m_prime) if m_prime >= 1 else None
-    cols = {k: [] for k in ("xi_re", "xi_im", "s1_closed", "s2_closed", "s3_closed",
-                            "s1_upper", "s2_upper", "s3_upper")}
-    for x in xis:
-        s1, s2, s3 = symbols.spin_symbols_closed_form(complex(x), j)
-        cols["xi_re"].append(x.real)
-        cols["xi_im"].append(x.imag)
-        cols["s1_closed"].append(s1)
-        cols["s2_closed"].append(s2)
-        cols["s3_closed"].append(s3)
-        if mats is None:
-            ups = (0.0, 0.0, 0.0)
-        else:
-            ups = tuple(symbols.upper_symbol(mat, complex(x), j).real for mat in mats)
-        cols["s1_upper"].append(ups[0])
-        cols["s2_upper"].append(ups[1])
-        cols["s3_upper"].append(ups[2])
+    cols = {"xi_re": list(xis.real), "xi_im": list(xis.imag)}
+    cols.update({f"s{k}_closed": list(s)
+                 for k, s in enumerate(symbols.spin_symbols_closed_form(xis, j), 1)})
+    # at j = 0 the spin matrices are 1 x 1 zeros, so the upper symbols are 0
+    cols.update({f"s{k}_upper": list(symbols.upper_symbol(mat, xis, j).real)
+                 for k, mat in enumerate(fock.spin_operators(int(round(2 * j))), 1)})
     _write_table(cols, _meta(args, command="symbols", j=j), args.format, args.out)
     return 0
 

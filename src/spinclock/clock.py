@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .coherent import _check_two_j, su2_coherent_batch
+from .coherent import _check_two_j, su2_coherent
 from .errors import ChartSingularityError
 from .grids import RadialGrid, SphereGrid, radial_grid, sphere_grid
 from .symbols import FullLowerSymbol, ReducedLowerSymbol, _radial_mean
@@ -73,7 +73,8 @@ def clock_symbol_q1(xi: complex, m: int, tau, phi_prime: float = 0.0,
     if m < 0:
         raise ValueError("m must be nonnegative")
     tau = np.asarray(tau, dtype=float)
-    amp = gamma_half_ratio(m) * 2.0 * abs(xi) / math.sqrt(1.0 + abs(xi) ** 2)
+    num, den = _modulus_over_norm(xi)
+    amp = gamma_half_ratio(m) * 2.0 * num / den
     phase = omega * tau + phi_prime + math.atan2(xi.imag, xi.real)
     out = amp * np.cos(phase)
     if out.ndim == 0:
@@ -85,7 +86,20 @@ def classical_amplitude(m: int, xi: complex, omega: float = 1.0,
                         hbar: float = 1.0) -> float:
     """Amplitude A of oscillator 1 for energy E = (m+1) hbar omega and ratio |xi|."""
     e_tot = (m + 1) * hbar * omega
-    return math.sqrt(e_tot / omega**2) * abs(xi) / math.sqrt(1.0 + abs(xi) ** 2)
+    num, den = _modulus_over_norm(xi)
+    return math.sqrt(e_tot / omega**2) * num / den
+
+
+def _modulus_over_norm(xi: complex) -> tuple[float, float]:
+    """|xi| / sqrt(1+|xi|^2) as (numerator, denominator).
+
+    Where |xi|^2 overflows the ratio comes from the antipodal label 1/xi
+    as 1 / sqrt(1+|1/xi|^2).
+    """
+    try:
+        return abs(xi), math.sqrt(1.0 + abs(xi) ** 2)
+    except OverflowError:
+        return 1.0, math.sqrt(1.0 + abs(1.0 / xi) ** 2)
 
 
 def classical_limit_check(xi: complex, m_list, tau_grid,
@@ -215,7 +229,4 @@ def phase_correlation(xi_mag: float, j: float,
 def overlap_inner_product_batch(xi_ref: complex, xis: np.ndarray, j: float
                                 ) -> np.ndarray:
     """|<xi'|xi_ref>| via explicit amplitude vectors (oracle for the closed form)."""
-    _check_two_j(j)
-    v_ref = su2_coherent_batch(np.array([xi_ref]), j)[0]
-    vecs = su2_coherent_batch(np.asarray(xis, dtype=np.complex128), j)
-    return np.abs(vecs.conj() @ v_ref)
+    return np.abs(su2_coherent(xis, j).conj() @ su2_coherent(xi_ref, j))

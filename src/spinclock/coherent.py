@@ -6,6 +6,10 @@ The projector onto the physical subspace is the exact orthogonal
 projector onto the a'a + b'b = m' eigenspace; the two-mode Gaussian
 prefactor follows the e^{-(|alpha|^2+|beta|^2)/2} normalization, which is
 what makes the projected norm equal e^{-r} r^{m'} / m'!.
+
+The spin-coherent functions take their labels the numpy way: su2_coherent
+and overlap accept a scalar or an array of xi and return one result per
+label, so a whole sweep is one call.
 """
 
 import cmath
@@ -18,20 +22,17 @@ from .errors import ChartSingularityError
 from .grids import SphereGrid, sphere_grid
 
 
-def su2_coherent(xi: complex, j: float) -> np.ndarray:
-    """Normalized spin coherent state |xi> for spin j.
+def su2_coherent(xi, j: float) -> np.ndarray:
+    """Normalized spin coherent states |xi> for spin j, one per label.
 
     Coefficients c_n = (1+|xi|^2)^{-j} sqrt(C(2j,n)) xi^n on the basis
-    |n, 2j-n>, n ascending.
+    |n, 2j-n>, n ascending.  xi is a scalar or an array of labels; the
+    result has shape xi.shape + (2j+1,), so a scalar label gives one
+    vector.  The labels go to kernels.coherent_amplitudes as one batch.
     """
     two_j = _check_two_j(j)
-    return kernels.coherent_amplitudes(np.array([xi]), two_j)[0]
-
-
-def su2_coherent_batch(xis, j: float) -> np.ndarray:
-    """Rows of su2_coherent for an array of labels."""
-    two_j = _check_two_j(j)
-    return kernels.coherent_amplitudes(xis, two_j)
+    xi = np.asarray(xi, dtype=np.complex128)
+    return kernels.coherent_amplitudes(xi.ravel(), two_j).reshape(xi.shape + (two_j + 1,))
 
 
 def project_coherent(alpha: complex, beta: complex, m_prime: int

@@ -11,7 +11,10 @@ Symbols are numpy-broadcasting callables: a full lower symbol
 sym(xi, r, theta) and a reduced symbol sym(xi) take scalars or arrays and
 broadcast them against each other.  A symbol that does not depend on an
 argument may return a smaller shape, even a constant such as
-``lambda xi: 1.0``; the caller broadcasts the result.
+``lambda xi: 1.0``; the caller broadcasts the result.  The upper symbols
+broadcast too: upper_symbol and spin_symbols_closed_form take a scalar or
+an array of labels and return one value per label, so a sweep is one call
+and one amplitude batch.
 """
 
 from typing import Callable
@@ -28,40 +31,50 @@ FullLowerSymbol = Callable[[np.ndarray, float, np.ndarray], np.ndarray]
 ReducedLowerSymbol = Callable[[np.ndarray], np.ndarray]
 
 
-def upper_symbol(op: np.ndarray, xi: complex, j: float | None = None) -> complex:
-    """Expectation value <xi| op |xi> on the sector of matching dimension."""
+def upper_symbol(op: np.ndarray, xi, j: float | None = None):
+    """Expectation values <xi| op |xi> on the sector of matching dimension.
+
+    xi is a scalar or an array of labels; the result is one complex value
+    per label, a scalar for a scalar label.  The amplitudes come as one
+    batch and the contraction runs in einsum, not in BLAS, so its bytes do
+    not depend on the BLAS thread count.
+    """
     dim = op.shape[0]
     if j is None:
         j = (dim - 1) / 2.0
     if dim != _check_two_j(j) + 1:
         raise ValueError("operator dimension does not match 2j+1")
     v = su2_coherent(xi, j)
-    return complex(v.conj() @ (op @ v))
+    rows = v.reshape(-1, dim)
+    vals = np.einsum("kn,kn->k", rows.conj(), np.einsum("nm,km->kn", op, rows))
+    return vals.reshape(v.shape[:-1])[()]
 
 
-def spin_symbols_closed_form(xi: complex, j: float) -> tuple[float, float, float]:
+def spin_symbols_closed_form(xi, j: float):
     """Closed-form upper symbols (s1, s2, s3) of the spin operators.
 
+    xi is a scalar or an array of labels; each of s1, s2, s3 has its shape.
     The point (s1, s2, s3) lies on the sphere of radius j; s3 = -j at
     xi = 0 (all quanta in oscillator 2).  The sign of s2 is forced: with
     amplitudes proportional to xi^n, s3(0) = -j and the cyclic algebra
     [S1, S2] = iS3, the 2-component must be -2j Im(xi)/(1+|xi|^2) (the
     triple with +Im(xi) is a reflection of the expectation vector and
-    would anti-commute the algebra).
+    would anti-commute the algebra).  Where |xi|^2 overflows, the same
+    point comes from the antipodal label eta = 1/xi.
     """
-    try:
-        t = abs(xi) ** 2
-    except OverflowError:
-        # |xi|^2 overflows: the same point from the antipodal label eta = 1/xi
-        eta = 1.0 / xi
-        t = abs(eta) ** 2
-        denom = 1.0 + t
-        return 2.0 * j * eta.real / denom, 2.0 * j * eta.imag / denom, j * (1.0 - t) / denom
+    xi = np.asarray(xi, dtype=np.complex128)
+    # np.hypot and float_power round |xi|^2 as Python's abs(xi) ** 2 does
+    with np.errstate(over="ignore"):
+        far = np.isinf(np.float_power(np.hypot(xi.real, xi.imag), 2))
+        # np.reciprocal rounds as Python's 1 / xi but for the sign of a zero
+        # part; numpy's 1.0 / xi multiplies by a rounded reciprocal instead
+        u = np.where(far, np.reciprocal(np.where(far, xi, 1.0)), xi)
+    t = np.float_power(np.hypot(u.real, u.imag), 2)
     denom = 1.0 + t
-    s1 = 2.0 * j * xi.real / denom
-    s2 = -2.0 * j * xi.imag / denom
-    s3 = -j * (1.0 - t) / denom
-    return s1, s2, s3
+    s1 = 2.0 * j * u.real / denom
+    s2 = np.where(far, 2.0, -2.0) * j * u.imag / denom
+    s3 = np.where(far, j, -j) * (1.0 - t) / denom
+    return s1[()], s2[()], s3[()]
 
 
 def _radial_mean(sym: FullLowerSymbol, xi, rgrid: RadialGrid,

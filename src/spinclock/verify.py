@@ -92,17 +92,14 @@ def run_checks(j: float = 5.0, seed: int = 0,
     results.append(_check("coherent.gauge_covariance", gauge_err, 1e-13))
     results.append(_check("coherent.gauge_phase_factoring", factor_err, 1e-12))
 
-    # overlap closed form vs explicit inner products
-    ov_err = 0.0
-    bound_err = 0.0
-    for _ in range(200):
-        x1 = complex(rng.normal(), rng.normal())
-        x2 = complex(rng.normal(), rng.normal())
-        explicit = complex(coherent.su2_coherent(x1, j).conj()
-                           @ coherent.su2_coherent(x2, j))
-        closed = coherent.overlap(x1, x2, j)
-        ov_err = max(ov_err, abs(closed - explicit))
-        bound_err = max(bound_err, abs(closed) - 1.0)
+    # overlap closed form vs explicit inner products; the view draws the
+    # labels as complex(normal, normal) pairs in the order of scalar draws
+    x1, x2 = rng.normal(size=(200, 4)).view(complex).T
+    explicit = np.einsum("kn,kn->k", coherent.su2_coherent(x1, j).conj(),
+                         coherent.su2_coherent(x2, j))
+    closed = coherent.overlap(x1, x2, j)
+    ov_err = np.max(np.abs(closed - explicit))
+    bound_err = max(0.0, np.max(np.abs(closed)) - 1.0)
     results.append(_check("coherent.overlap_closed_form", ov_err, 1e-12))
     results.append(_check("coherent.overlap_bound", bound_err, 1e-12))
 
@@ -129,14 +126,11 @@ def run_checks(j: float = 5.0, seed: int = 0,
     ident = symbols.reconstruct_operator(lambda xi: 1.0, j, grid)
     results.append(_check("symbols.reconstruct_unit_symbol",
                           np.max(np.abs(ident - np.eye(two_j + 1))), 1e-10))
-    # gauge-average null for cos(theta + c) factors
-    null_err = 0.0
-    for c in (0.0, 0.7, 2.4):
-        sym = lambda xi, r, th, c=c: np.sqrt(r) * np.cos(th + c)
-        reduced = symbols.project_lower_symbol(sym, m)
-        for _ in range(5):
-            x = complex(rng.normal(), rng.normal())
-            null_err = max(null_err, abs(reduced(x)))
+    # gauge-average null for cos(theta + c) factors: c runs along axis 0,
+    # five labels per c along axis 1
+    c = np.array([0.0, 0.7, 2.4])[:, None, None]
+    reduced = symbols.project_lower_symbol(lambda xi, r, th: np.sqrt(r) * np.cos(th + c), m)
+    null_err = np.max(np.abs(reduced(rng.normal(size=(3, 5, 2)).view(complex)[..., 0])))
     results.append(_check("symbols.gauge_average_null", null_err, 1e-14))
     # constraint peaking for o = r
     peak_err = 0.0
@@ -147,21 +141,20 @@ def run_checks(j: float = 5.0, seed: int = 0,
     results.append(_check("symbols.constraint_peaking", peak_err, 1e-12))
     # spin symbols closed form vs matrix expectations
     if m_prime >= 1:
-        sym_err = 0.0
-        sphere_err = 0.0
-        for _ in range(20):
-            x = complex(rng.normal(), rng.normal())
-            cf = symbols.spin_symbols_closed_form(x, j)
-            for val, mat in zip(cf, (s1, s2, s3)):
-                sym_err = max(sym_err, abs(symbols.upper_symbol(mat, x, j) - val))
-            sphere_err = max(sphere_err, abs(sum(v * v for v in cf) - j * j))
+        x = rng.normal(size=(20, 2)).view(complex)[:, 0]
+        cf = symbols.spin_symbols_closed_form(x, j)
+        sym_err = max(np.max(np.abs(symbols.upper_symbol(mat, x, j) - val))
+                      for val, mat in zip(cf, (s1, s2, s3)))
+        sphere_err = np.max(np.abs(sum(v * v for v in cf) - j * j))
         results.append(_check("symbols.spin_upper_symbols", sym_err, 1e-12))
         results.append(_check("symbols.spin_symbol_sphere", sphere_err, 1e-10))
-    # hermiticity of reconstructed operators
-    herm = symbols.reconstruct_operator(
-        lambda xi: (1.0 - abs(xi) ** 2) / (1.0 + abs(xi) ** 2), j, grid)
-    results.append(_check("symbols.reconstruct_hermitian",
-                          np.max(np.abs(herm - herm.conj().T)), 1e-13))
+    # Berezin eigenvalue: the upper symbol of the operator of cos(Theta) is
+    # (j/(j+1)) cos(Theta), up to the error of the grid's quadrature
+    cos_theta = lambda xi: (1.0 - np.abs(xi) ** 2) / (1.0 + np.abs(xi) ** 2)
+    x = np.array([0.0, 0.3 - 0.8j, 1.0, -2.5 + 1.1j])
+    upper = symbols.upper_symbol(symbols.reconstruct_operator(cos_theta, j, grid), x)
+    results.append(_check("symbols.berezin_eigenvalue",
+                          np.max(np.abs(upper - j / (j + 1) * cos_theta(x))), 1e-12))
 
     # clock
     xi_c = 0.8 * np.exp(1j * math.pi / 5)
@@ -183,10 +176,12 @@ def run_checks(j: float = 5.0, seed: int = 0,
     results.append(_check("clock.deparameterize_constant_ratio",
                           (max(ratios) - min(ratios)) / abs(np.mean(ratios)), 1e-10))
     if j >= 1:
+        # covariance: C(tau + delta) = e^{-i delta N} C(tau) e^{i delta N}, N = diag(n)
+        rot = np.exp(-1.3j * np.arange(two_j + 1))
         cop = clock.clock_operator(j, 0.7, phi_prime=0.2)
-        results.append(_check("clock.operator_hermitian",
-                              np.max(np.abs(cop - cop.conj().T)), 1e-13))
-        results.append(_check("clock.operator_traceless", abs(np.trace(cop)), 1e-12))
+        shifted = clock.clock_operator(j, 0.7 + 1.3, phi_prime=0.2)
+        results.append(_check("clock.operator_covariance",
+                              np.max(np.abs(shifted - rot[:, None] * cop * rot.conj())), 1e-12))
     if j >= 5:
         sweep = np.linspace(-1.2, 1.2, 801) + math.pi / 4
         tr = clock.amplitude_correlation(math.pi / 4, j, sweep)

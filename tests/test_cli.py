@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinclock import clock
 from spinclock.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -205,6 +207,23 @@ def test_clock_trace_constant_ratio(tmp_path, capsys):
     assert max(finite) - min(finite) < 1e-10
 
 
+def test_clock_trace_of_label_whose_abs_sq_overflows(capsys):
+    code, out, _ = run_cli(["clock-trace", "--m", "4", "--xi", "1e160,0",
+                            "--sweep", "tau:0:1:2"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    header = lines[1].split(",")
+    rows = [{k: float(v) for k, v in zip(header, line.split(","))} for line in lines[2:]]
+    assert len(rows) == 2
+    for row in rows:
+        # |xi| / sqrt(1+|xi|^2) = 1 to double precision at |xi| = 1e160
+        assert row["q1_quantum"] == pytest.approx(
+            2.0 * clock.gamma_half_ratio(4) * math.cos(row["tau"]), rel=1e-15)
+        assert row["q1_classical"] == pytest.approx(math.sqrt(5.0) * math.cos(row["tau"]),
+                                                    rel=1e-15)
+        assert math.isfinite(row["ratio"])
+
+
 def test_symbols_closed_form_matches_matrix(tmp_path, capsys):
     out_file = tmp_path / "symbols.csv"
     code = main(["symbols", "--j", "2", "--out", str(out_file)])
@@ -231,6 +250,33 @@ def test_symbols_of_labels_whose_abs_sq_overflows(capsys):
         assert row["s3_closed"] == pytest.approx(2.0, abs=1e-12)
         assert row["s3_upper"] == pytest.approx(2.0, abs=1e-12)
         assert row["s1_upper"] == pytest.approx(row["s1_closed"], rel=1e-10)
+
+
+def _columns(text):
+    lines = text.strip().splitlines()
+    header = lines[1].split(",")
+    return {k: [line.split(",")[i] for line in lines[2:]] for i, k in enumerate(header)}
+
+
+def test_symbols_j20_matches_baseline(capsys):
+    code, out, _ = run_cli(["symbols", "--j", "20"], capsys)
+    assert code == 0
+    got = _columns(out)
+    want = _columns((DATA / "symbols_j20_baseline.csv").read_text())
+    assert list(got) == list(want)
+    for k in ("xi_re", "xi_im", "s1_closed", "s2_closed", "s3_closed"):
+        assert got[k] == want[k], k
+    for k in ("s1_upper", "s2_upper", "s3_upper"):
+        diff = np.abs(np.array(got[k], dtype=float) - np.array(want[k], dtype=float))
+        assert np.max(diff) < 1e-13, k
+
+
+def test_symbols_degenerate_spin_is_zero(capsys):
+    code, out, _ = run_cli(["symbols", "--j", "0", "--sweep", "xi:0:2:3"], capsys)
+    assert code == 0
+    cols = _columns(out)
+    for k in ("s1_closed", "s2_closed", "s3_closed", "s1_upper", "s2_upper", "s3_upper"):
+        assert [float(v) for v in cols[k]] == [0.0, 0.0, 0.0], k
 
 
 def test_verify_passes_and_exit_zero(tmp_path, capsys):
@@ -336,3 +382,15 @@ def test_output_independent_of_thread_count(tmp_path):
                        check=True, env=env, capture_output=True)
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_symbols_independent_of_blas_thread_count():
+    # at j = 200 a BLAS matrix product changes its last bits with the thread count
+    digests = set()
+    for threads in ("1", "4"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "spinclock", "symbols", "--j", "200",
+                               "--sweep", "xi:0:3:201"],
+                              check=True, env=env, capture_output=True)
+        digests.add(hashlib.sha256(proc.stdout).hexdigest())
+    assert len(digests) == 1

@@ -52,6 +52,19 @@ def test_su2_coherent_beyond_overflow_of_abs_sq():
         assert v[-1] == pytest.approx(phase, abs=1e-12)
 
 
+@pytest.mark.parametrize("j", [0.0, 0.5, 2.5, 20.0])
+def test_su2_coherent_broadcasts_over_labels(j):
+    labels = np.array([[0.0, 0.3 - 0.7j, 1e160], [-2.0 + 0.5j, 1e160j, 1.0]])
+    dim = int(round(2 * j)) + 1
+    got = coherent.su2_coherent(labels, j)
+    assert got.shape == labels.shape + (dim,)
+    for idx, x in np.ndenumerate(labels):
+        one = coherent.su2_coherent(x, j)
+        assert one.shape == (dim,)
+        assert np.array_equal(got[idx], one)
+        assert np.vdot(one, one).real == pytest.approx(1.0, abs=1e-12)
+
+
 def test_overlap_beyond_overflow_of_abs_sq():
     # near the pole xi = inf: <xi|xi> = 1, <xi|-xi> = (-1)^{2j}, and
     # <xi|eta> = (1 + conj(xi) eta)^{2j} / (1+|xi|^2)^j for |eta| << 1/|xi|

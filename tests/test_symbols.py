@@ -69,6 +69,42 @@ def test_spin_symbols_beyond_overflow_of_abs_sq():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+BROADCAST_LABELS = np.array([[0.0, 0.3 - 0.7j, 1e160], [-2.0 + 0.5j, 1e160j, 1.0]])
+
+
+@pytest.mark.parametrize("j", [0.0, 0.5, 2.5, 20.0])
+def test_upper_symbol_broadcasts_over_labels(j):
+    mats = fock.spin_operators(int(round(2 * j)))
+    for mat in mats:
+        got = symbols.upper_symbol(mat, BROADCAST_LABELS, j)
+        assert got.shape == BROADCAST_LABELS.shape
+        for idx, x in np.ndenumerate(BROADCAST_LABELS):
+            one = symbols.upper_symbol(mat, x, j)
+            assert np.ndim(one) == 0
+            assert got[idx] == one
+
+
+@pytest.mark.parametrize("j", [0.0, 0.5, 2.5, 20.0])
+def test_spin_symbols_closed_form_broadcasts_over_labels(j):
+    got = symbols.spin_symbols_closed_form(BROADCAST_LABELS, j)
+    assert all(s.shape == BROADCAST_LABELS.shape for s in got)
+    for idx, x in np.ndenumerate(BROADCAST_LABELS):
+        one = symbols.spin_symbols_closed_form(x, j)
+        assert all(np.ndim(s) == 0 for s in one)
+        assert tuple(s[idx] for s in got) == one
+
+
+@pytest.mark.parametrize("j", [0.5, 2.5, 20.0])
+def test_upper_symbol_of_full_matrix_matches_vdot(j):
+    rng = np.random.default_rng(11)
+    dim = int(round(2 * j)) + 1
+    op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    xis = np.concatenate([[0.0, 1e160], rng.normal(size=(30, 2)).view(complex)[:, 0]])
+    got = symbols.upper_symbol(op, xis, j)
+    want = np.array([np.vdot(v, op @ v) for v in (su2_coherent(x, j) for x in xis)])
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_spin_symbols_sphere_identity():
     for _ in range(100):
         xi = complex(RNG.normal(), RNG.normal())
@@ -261,6 +297,6 @@ def test_reconstruct_then_upper_symbol_is_berezin_eigenvalue(j):
     xis = np.array([0.0, 0.35 - 0.8j, -1.7 + 0.2j, 4.0j])
     for l, name in _harmonics(xis):
         op = symbols.reconstruct_operator(lambda xi: _harmonics(xi)[l, name], j)
-        got = np.array([symbols.upper_symbol(op, x) for x in xis])
+        got = symbols.upper_symbol(op, xis)
         want = _berezin_eigenvalue(l, two_j) * _harmonics(xis)[l, name]
         assert np.max(np.abs(got - want)) < 1e-12, (l, name)
