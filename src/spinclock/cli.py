@@ -43,6 +43,19 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
+def _parse_finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
+def _parse_positive(text: str) -> float:
+    if not _parse_finite(text) > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return float(text)
+
+
 def _parse_sweep(text: str) -> tuple[str, float, float, int]:
     parts = text.split(":")
     if len(parts) != 4:
@@ -100,7 +113,8 @@ def _sweep_grid(args, var: str, default: tuple[float, float, int] | None = None)
 def _spin(args, default: float | None = None) -> float:
     """Spin j from the one spin flag given: --j, --m-prime or (clock-trace) --m.
 
-    Without a spin flag this is default, or a usage error when there is none.
+    Without a spin flag this is default, or a usage error when there is none;
+    2j must be a nonnegative integer.
     """
     flags = {"--j": args.j, "--m-prime": args.m_prime}
     if "m" in args:
@@ -113,15 +127,18 @@ def _spin(args, default: float | None = None) -> float:
             raise SpinclockError(f"one of {' / '.join(flags)} is required")
         return default
     flag, value = given[0]
-    return float(value) if flag == "--j" else value / 2.0
+    j = float(value) if flag == "--j" else value / 2.0
+    coherent._check_two_j(j)
+    return j
 
 
 def _add_common(p: argparse.ArgumentParser):
     # only options every subcommand reads or echoes into its metadata
-    p.add_argument("--j", type=float, help="spin j (2j must be an integer)")
+    p.add_argument("--j", type=_parse_finite, help="spin j (2j must be an integer)")
     p.add_argument("--m-prime", type=int, help="total quanta m' = 2j")
-    p.add_argument("--omega", type=float, default=1.0, help="oscillator frequency (default 1)")
-    p.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
+    p.add_argument("--omega", type=_parse_positive, default=1.0,
+                   help="oscillator frequency (default 1)")
+    p.add_argument("--hbar", type=_parse_positive, default=1.0, help="Planck constant (default 1)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--seed", type=int, default=0, help="seed for property sampling")
@@ -148,9 +165,9 @@ def build_parser() -> _Parser:
                            help="second label as RE,IM (alternative to --sweep)")
         if name == "figure":
             p.add_argument("which", type=int, choices=(1, 2))
-            p.add_argument("--theta", type=float,
+            p.add_argument("--theta", type=_parse_finite,
                            help="reference amplitude angle (figure 1 only, default pi/4)")
-            p.add_argument("--xi-mag", type=float,
+            p.add_argument("--xi-mag", type=_parse_finite,
                            help="reference |xi| (figure 2 only, default 1)")
             p.add_argument("--antipodal", action="store_true",
                            help="interpret angles on the swapped-oscillator chart")
@@ -158,7 +175,7 @@ def build_parser() -> _Parser:
             p.add_argument("--m", type=int, help="total quanta (alias of --m-prime)")
             p.add_argument("--xi", type=_parse_complex, default=1 + 0j,
                            help="chart coordinate as RE,IM (default 1,0)")
-            p.add_argument("--phi-prime", type=float, default=0.0,
+            p.add_argument("--phi-prime", type=_parse_finite, default=0.0,
                            help="clock phase offset (default 0)")
         if name == "verify":
             p.add_argument("--quad-order", type=int, help="polar quadrature order override")
@@ -240,7 +257,7 @@ def cmd_clock_trace(args) -> int:
         ratio = np.where(np.abs(classical_q1) > 1e-12 * max(a_cl, 1e-300),
                          quantum / np.where(classical_q1 != 0, classical_q1, 1.0),
                          np.nan)
-    cols = {"tau": list(taus), "q1_quantum": list(np.atleast_1d(quantum)),
+    cols = {"tau": list(taus), "q1_quantum": list(quantum),
             "q1_classical": list(classical_q1), "ratio": list(ratio)}
     _write_table(cols, _meta(args, command="clock-trace", m=m,
                              xi=f"{xi.real},{xi.imag}", phi_prime=phi_prime),
@@ -308,10 +325,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv[:1] + _config_tokens(parser, args.config) + argv[1:])
     try:
         return args.func(args)
-    except SpinclockError as exc:
-        print(f"spinclock: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError) as exc:
+    except (SpinclockError, ValueError, OSError) as exc:
         print(f"spinclock: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

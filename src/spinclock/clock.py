@@ -10,9 +10,17 @@ The conditioned symbol of q1 then has the closed form
                    (xi e^{i(omega tau+phi')} + c.c.) / sqrt(1+|xi|^2)
 
 which tends to the classical sinusoid A cos(omega tau + phi' + arg xi)
-as m grows.  Correlation functions between spin coherent states measure
-how sharp the clock is: a Gaussian of width 1/(2j) in the amplitude
-angle and 2j/(E1 E2) in the relative phase.
+as m grows.  clock_symbol_q1 is the one form of this symbol, for the
+printed trace and the operator alike: it broadcasts xi, tau and phi'
+against each other, and every element has the bits of a call with scalar
+arguments.  For that it takes arg xi from math.atan2, label by label;
+np.arctan2 differs from it in the last ulp on some labels.  Where
+|xi|^2 overflows, |xi| / sqrt(1+|xi|^2) comes from the antipodal label
+1/xi, by the rule spin_symbols_closed_form uses too.
+
+Correlation functions between spin coherent states measure how sharp the
+clock is: a Gaussian of width 1/(2j) in the amplitude angle and
+2j/(E1 E2) in the relative phase.
 """
 
 import math
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .coherent import _check_two_j, su2_coherent
+from .coherent import _antipodal_where_far, _check_two_j, su2_coherent
 from .errors import ChartSingularityError
 from .grids import RadialGrid, SphereGrid, radial_grid, sphere_grid
 from .symbols import FullLowerSymbol, ReducedLowerSymbol, _radial_mean
@@ -63,43 +71,46 @@ def gamma_half_ratio(m: int) -> float:
     return math.exp(math.lgamma(m + 2.5) - math.lgamma(m + 2.0))
 
 
-def clock_symbol_q1(xi: complex, m: int, tau, phi_prime: float = 0.0,
-                    omega: float = 1.0):
+_atan2 = np.vectorize(math.atan2, otypes=[float])
+
+
+def clock_symbol_q1(xi, m: int, tau, phi_prime=0.0, omega: float = 1.0):
     """Closed form of the conditioned clock symbol q1'(xi; tau).
 
     Real for any xi; a single sinusoid in tau with phase
-    omega*tau + phi' + arg xi.
+    omega*tau + phi' + arg xi.  xi, tau and phi_prime broadcast against
+    each other, and a 0-d result is a scalar.  Each element has the bits
+    of a call with scalar arguments: arg xi comes from math.atan2, one
+    label at a time, because np.arctan2 rounds differently on some labels.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    tau = np.asarray(tau, dtype=float)
+    xi = np.asarray(xi, dtype=np.complex128)
     num, den = _modulus_over_norm(xi)
-    amp = gamma_half_ratio(m) * 2.0 * num / den
-    phase = omega * tau + phi_prime + math.atan2(xi.imag, xi.real)
-    out = amp * np.cos(phase)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    phase = omega * np.asarray(tau, dtype=float) + phi_prime + _atan2(xi.imag, xi.real)
+    return (gamma_half_ratio(m) * 2.0 * num / den * np.cos(phase))[()]
 
 
-def classical_amplitude(m: int, xi: complex, omega: float = 1.0,
-                        hbar: float = 1.0) -> float:
-    """Amplitude A of oscillator 1 for energy E = (m+1) hbar omega and ratio |xi|."""
+def classical_amplitude(m: int, xi, omega: float = 1.0, hbar: float = 1.0):
+    """Amplitude A of oscillator 1 for energy E = (m+1) hbar omega and ratio |xi|.
+
+    xi is a scalar or an array of labels; the result has its shape.
+    """
     e_tot = (m + 1) * hbar * omega
     num, den = _modulus_over_norm(xi)
-    return math.sqrt(e_tot / omega**2) * num / den
+    return (math.sqrt(e_tot / omega**2) * num / den)[()]
 
 
-def _modulus_over_norm(xi: complex) -> tuple[float, float]:
-    """|xi| / sqrt(1+|xi|^2) as (numerator, denominator).
+def _modulus_over_norm(xi) -> tuple[np.ndarray, np.ndarray]:
+    """|xi| / sqrt(1+|xi|^2) as (numerator, denominator), elementwise.
 
     Where |xi|^2 overflows the ratio comes from the antipodal label 1/xi
-    as 1 / sqrt(1+|1/xi|^2).
+    as 1 / sqrt(1+|1/xi|^2).  |xi| and |xi|^2 round as Python's abs(xi)
+    and abs(xi) ** 2.
     """
-    try:
-        return abs(xi), math.sqrt(1.0 + abs(xi) ** 2)
-    except OverflowError:
-        return 1.0, math.sqrt(1.0 + abs(1.0 / xi) ** 2)
+    u, far = _antipodal_where_far(xi)
+    a = np.hypot(u.real, u.imag)
+    return np.where(far, 1.0, a), np.sqrt(1.0 + np.float_power(a, 2))
 
 
 def classical_limit_check(xi: complex, m_list, tau_grid,
@@ -130,24 +141,19 @@ def classical_limit_check(xi: complex, m_list, tau_grid,
 
 def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
                    omega: float = 1.0, grid: SphereGrid | None = None) -> np.ndarray:
-    """Operator of the clock symbol: ((2j+1)/pi) int q1'(xi;tau) |xi><xi| dmu."""
+    """Operator of the clock symbol: ((2j+1)/pi) int q1'(xi;tau) |xi><xi| dmu.
+
+    The symbol is evaluated ring by ring through its covariance
+    q1'(rho e^{i phi}; tau) = q1'(rho; tau) with phi' -> phi' + phi, so the
+    node labels grid.xi are never built.
+    """
     two_j = _check_two_j(j)
     if grid is None:
         grid = sphere_grid(j, n_polar=two_j + 6)
-    vals = clock_symbol_q1_batch(grid.xi, two_j, tau, phi_prime, omega)
+    vals = clock_symbol_q1(grid.rho[:, None], two_j, tau, phi_prime + grid.phi, omega)
     # on a ring the symbol is one harmonic cos(phi + ...): columns +-1 only
-    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.weights * vals, two_j,
-                                                              band={1, -1})
-
-
-def clock_symbol_q1_batch(xis: np.ndarray, m: int, tau: float,
-                          phi_prime: float = 0.0, omega: float = 1.0) -> np.ndarray:
-    """clock_symbol_q1 over an array of labels at fixed tau."""
-    xis = np.asarray(xis, dtype=np.complex128)
-    g = gamma_half_ratio(m)
-    phase = omega * tau + phi_prime
-    rot = xis * np.exp(1j * phase)
-    return g * 2.0 * rot.real / np.sqrt(1.0 + np.abs(xis) ** 2)
+    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(
+        grid, grid.ring_weights[:, None] * vals, two_j, band={1, -1})
 
 
 def fit_gaussian_width(x: np.ndarray, y: np.ndarray,

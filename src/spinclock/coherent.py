@@ -108,6 +108,19 @@ def _log1p_abs_sq(z: np.ndarray) -> np.ndarray:
         return kernels.log1p_square(a, np.float_power(a, 2))
 
 
+def _antipodal_where_far(xi) -> tuple[np.ndarray, np.ndarray]:
+    """(u, far): the label xi, or its antipodal label 1/xi where |xi|^2 overflows.
+
+    far marks the labels whose |xi|^2 overflows, rounded as in _log1p_abs_sq.
+    np.reciprocal rounds as Python's 1 / xi but for the sign of a zero
+    part; numpy's 1.0 / xi multiplies by a rounded reciprocal instead.
+    """
+    xi = np.asarray(xi, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        far = np.isinf(np.float_power(np.hypot(xi.real, xi.imag), 2))
+        return np.where(far, np.reciprocal(np.where(far, xi, 1.0)), xi), far
+
+
 def resolution_of_unity(j: float, grid: SphereGrid | None = None) -> np.ndarray:
     """((2j+1)/pi) * sum_k w_k |xi_k><xi_k|; identity on the sector."""
     two_j = _check_two_j(j)

@@ -13,8 +13,10 @@ its nodes.  The flat node views number node k = p * n_azimuthal + a, on
 ring p at azimuth 2 pi a / n_azimuthal, so consecutive blocks of
 n_azimuthal nodes are the rings, each starting at azimuth 0.
 kernels.ring_projector_sum works on the rings directly; only a caller that
-evaluates a symbol builds the node labels grid.xi, from n_polar radii and
-n_azimuthal phase factors.
+evaluates a black-box symbol builds the node labels grid.xi, from n_polar
+radii and n_azimuthal phase factors.  A symbol that is covariant under
+xi -> xi e^{i phi} can instead be evaluated on rho[:, None] and the
+azimuths phi, as the clock operator's is.
 
 The radial weight is r^{m+1} e^{-r} / (m+1)!.  Nodes and *normalized*
 weights come from the Golub-Welsch eigenproblem of the generalized
@@ -36,10 +38,14 @@ class SphereGrid:
     n_azimuthal: int  # nodes per ring, at azimuths 2 pi a / n_azimuthal
 
     @property
+    def phi(self) -> np.ndarray:
+        """Azimuth phi_a = 2 pi a / n_azimuthal of each node on a ring."""
+        return np.arange(self.n_azimuthal) * (2.0 * np.pi / self.n_azimuthal)
+
+    @property
     def xi(self) -> np.ndarray:
         """Complex chart coordinate rho_p e^{i phi_a} of every node, rings in order."""
-        phi = np.arange(self.n_azimuthal) * (2.0 * np.pi / self.n_azimuthal)
-        return np.outer(self.rho, np.exp(1j * phi)).ravel()
+        return np.outer(self.rho, np.exp(1j * self.phi)).ravel()
 
     @property
     def weights(self) -> np.ndarray:

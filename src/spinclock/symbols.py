@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .coherent import su2_coherent, _check_two_j
+from .coherent import _antipodal_where_far, _check_two_j, su2_coherent
 from .grids import RadialGrid, SphereGrid, gauge_grid, radial_grid, sphere_grid
 
 # a full lower symbol maps (xi, r, theta) -> value, broadcasting its arguments
@@ -62,13 +62,7 @@ def spin_symbols_closed_form(xi, j: float):
     would anti-commute the algebra).  Where |xi|^2 overflows, the same
     point comes from the antipodal label eta = 1/xi.
     """
-    xi = np.asarray(xi, dtype=np.complex128)
-    # np.hypot and float_power round |xi|^2 as Python's abs(xi) ** 2 does
-    with np.errstate(over="ignore"):
-        far = np.isinf(np.float_power(np.hypot(xi.real, xi.imag), 2))
-        # np.reciprocal rounds as Python's 1 / xi but for the sign of a zero
-        # part; numpy's 1.0 / xi multiplies by a rounded reciprocal instead
-        u = np.where(far, np.reciprocal(np.where(far, xi, 1.0)), xi)
+    u, far = _antipodal_where_far(xi)
     t = np.float_power(np.hypot(u.real, u.imag), 2)
     denom = 1.0 + t
     s1 = 2.0 * j * u.real / denom

@@ -168,13 +168,12 @@ def run_checks(j: float = 5.0, seed: int = 0,
     depar = clock.deparameterize(
         lambda xi, r, th: symbols.q1_position_symbol(xi, r, th), m, 0.0,
         phi_prime=0.2, rgrid=rgrid)
-    ratios = []
-    for x in (xi_c, 1.5 - 0.3j, 0.2 + 0.9j):
-        cs = clock.clock_symbol_q1(x, m, 0.0, phi_prime=0.2)
-        if abs(cs) > 1e-12:
-            ratios.append(depar(x) / cs)
+    x = np.array([xi_c, 1.5 - 0.3j, 0.2 + 0.9j])
+    cs = clock.clock_symbol_q1(x, m, 0.0, phi_prime=0.2)
+    keep = np.abs(cs) > 1e-12
+    ratios = depar(x[keep]) / cs[keep]
     results.append(_check("clock.deparameterize_constant_ratio",
-                          (max(ratios) - min(ratios)) / abs(np.mean(ratios)), 1e-10))
+                          np.ptp(ratios) / abs(np.mean(ratios)), 1e-10))
     if j >= 1:
         # covariance: C(tau + delta) = e^{-i delta N} C(tau) e^{i delta N}, N = diag(n)
         rot = np.exp(-1.3j * np.arange(two_j + 1))

@@ -1,18 +1,24 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spinclock import clock
-from spinclock.cli import main
+from spinclock.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -87,6 +93,20 @@ def test_second_spin_flag_is_usage_error(argv, capsys):
     assert "give exactly one of" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["clock-trace", "--j", "0.3"],
+    ["verify", "--j", "2.7"],
+    ["verify", "--j", "-1"],
+    ["overlap", "--m-prime", "-3"],
+    ["figure", "1", "--j", "0.25"],
+    ["symbols", "--j", "-0.5"],
+])
+def test_spin_that_is_not_a_half_integer_is_usage_error(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "2j must be a nonnegative integer" in err
+
+
 def test_missing_spin_is_usage_error(capsys):
     code, _, _ = run_cli(["overlap"], capsys)
     assert code == 1
@@ -123,12 +143,41 @@ def test_sweep_of_wrong_variable_is_usage_error(argv, capsys):
     ["overlap", "--j", "2", "--xi", "inf,0", "--xi-prime", "1,0"],
     ["overlap", "--j", "2", "--xi", "0,0", "--xi-prime", "1,nan"],
     ["overlap", "--j", "2", "--xi", "1.5e308,1.5e308", "--xi-prime", "1,0"],
+    ["overlap", "--j", "inf"],
+    ["clock-trace", "--m", "10", "--omega", "nan"],
+    ["clock-trace", "--m", "10", "--phi-prime", "nan"],
+    ["clock-trace", "--m", "10", "--omega", "0"],
+    ["clock-trace", "--m", "10", "--omega=-1"],
+    ["clock-trace", "--m", "10", "--hbar=-1"],
+    ["figure", "1", "--j", "10", "--theta", "nan"],
+    ["figure", "2", "--j", "10", "--xi-mag", "inf"],
 ])
 def test_non_finite_input_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     assert "finite" in capsys.readouterr().err
+
+
+# (subcommand, float option, whether it must also be > 0)
+FLOAT_OPTIONS = [("overlap", "--j", False), ("clock-trace", "--omega", True),
+                 ("clock-trace", "--hbar", True), ("clock-trace", "--phi-prime", False),
+                 ("figure", "--theta", False), ("figure", "--xi-mag", False)]
+
+
+@given(st.sampled_from(FLOAT_OPTIONS), st.floats())
+def test_float_options_take_exactly_the_finite_values(option, x):
+    command, flag, positive = option
+    argv = [command, *(["1"] if command == "figure" else []), f"{flag}={x!r}"]
+    if math.isfinite(x) and (x > 0 or not positive):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) == x
+    else:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 1
+        assert "finite" in err.getvalue()
 
 
 def test_import_pulls_in_neither_scipy_nor_numba():
@@ -224,6 +273,14 @@ def test_clock_trace_of_label_whose_abs_sq_overflows(capsys):
         assert math.isfinite(row["ratio"])
 
 
+def test_clock_trace_matches_baseline(capsys):
+    # arg xi of this label differs in the last ulp between math.atan2 and np.arctan2
+    code, out, _ = run_cli(["clock-trace", "--m", "7", "--xi=-2.7,1.2", "--phi-prime", "0.4",
+                            "--omega", "1.7", "--hbar", "0.5"], capsys)
+    assert code == 0
+    assert out == (DATA / "clock_trace_m7_baseline.csv").read_text()
+
+
 def test_symbols_closed_form_matches_matrix(tmp_path, capsys):
     out_file = tmp_path / "symbols.csv"
     code = main(["symbols", "--j", "2", "--out", str(out_file)])
@@ -302,6 +359,20 @@ def test_verify_degenerate_spin_passes(capsys):
     assert code == 0
 
 
+def _readme_commands():
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("spinclock ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_example_runs(line, tmp_path, monkeypatch, capsys):
+    argv = shlex.split(line, comments=True)[1:]
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(argv, capsys)
+    assert code in ((0, 2) if argv[0] == "verify" else (0,))
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"j": 1.0, "format": "json"}))
@@ -318,6 +389,17 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(out_file.read_text())["meta"]["j"] == 2.0
+
+
+@pytest.mark.parametrize("config", [{"j": 2, "omega": 0}, {"j": 2, "hbar": "nan"},
+                                    {"j": "inf"}])
+def test_config_bad_float_value_is_usage_error(config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["overlap", "--config", str(cfg)])
+    assert exc.value.code == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_config_value_parses_like_flag(tmp_path, capsys):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from spinclock import clock, symbols
+from spinclock.coherent import su2_coherent
 from spinclock.errors import ChartSingularityError
+from spinclock.grids import sphere_grid
 
 RNG = np.random.default_rng(11)
 
@@ -82,6 +84,34 @@ def test_clock_symbol_is_single_sinusoid(m):
         assert np.max(np.abs(np.imag(vals))) == 0  # real by construction
 
 
+# zero, a label whose |xi|^2 underflows, two whose |xi|^2 overflows, random ones
+LABELS = np.concatenate([[0j, 1e-200j, 1e160, -1e300 + 1e300j],
+                         RNG.normal(size=40) + 1j * RNG.normal(size=40),
+                         1e155 * (RNG.normal(size=8) + 1j * RNG.normal(size=8))])
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_clock_symbol_broadcast_equals_scalar_calls():
+    taus = np.array([0.0, 0.35, -2.2, 11.0])
+    phis = np.array([0.0, 0.4, -1.3])
+    got = clock.clock_symbol_q1(LABELS[:, None, None], 7, taus[:, None], phis, 1.7)
+    assert got.shape == (len(LABELS), len(taus), len(phis))
+    want = [[[clock.clock_symbol_q1(complex(x), 7, float(t), float(p), 1.7) for p in phis]
+             for t in taus] for x in LABELS]
+    assert same_bits(got, want)
+    assert np.isscalar(clock.clock_symbol_q1(-2.7 + 1.2j, 7, 0.3))
+
+
+def test_classical_amplitude_broadcast_equals_scalar_calls():
+    got = clock.classical_amplitude(7, LABELS, 1.7, 0.5)
+    assert got.shape == LABELS.shape
+    assert same_bits(got, [clock.classical_amplitude(7, complex(x), 1.7, 0.5) for x in LABELS])
+    assert np.isscalar(clock.classical_amplitude(7, 1e160 + 0j))
+
+
 def test_classical_limit_phase_and_amplitude():
     xi = complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
     taus = np.linspace(0, 4 * math.pi, 100)
@@ -114,6 +144,20 @@ def test_clock_operator_hermitian_traceless(j):
         op = clock.clock_operator(j, tau, phi_prime=0.6)
         assert np.max(np.abs(op - op.conj().T)) < 1e-13
         assert abs(np.trace(op)) < 1e-12
+
+
+@pytest.mark.parametrize("j", [0.5, 3.0, 10.0])
+def test_clock_operator_equals_sum_over_grid_nodes(j):
+    # ((2j+1)/pi) sum_k w_k q1'(xi_k; tau) |xi_k><xi_k| over the nodes of the
+    # operator's grid, with the symbol evaluated on the node labels themselves
+    two_j = int(2 * j)
+    tau, phip, omega = 0.7, 0.3, 1.4
+    grid = sphere_grid(j, n_polar=two_j + 6)
+    coeff = grid.weights * clock.clock_symbol_q1(grid.xi, two_j, tau, phip, omega)
+    vecs = su2_coherent(grid.xi, j)
+    want = (two_j + 1) / np.pi * np.einsum("k,kn,km->nm", coeff, vecs, vecs.conj())
+    got = clock.clock_operator(j, tau, phip, omega)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_clock_operator_large_spin_is_tridiagonal():
