@@ -95,10 +95,19 @@ def classical_amplitude(m: int, xi, omega: float = 1.0, hbar: float = 1.0):
     """Amplitude A of oscillator 1 for energy E = (m+1) hbar omega and ratio |xi|.
 
     xi is a scalar or an array of labels; the result has its shape.
+    Raises ValueError where sqrt(E / omega^2) leaves the float range, as
+    for omega = 1e200 or 1e-200, whose square overflows or underflows.
     """
     e_tot = (m + 1) * hbar * omega
+    try:
+        scale = math.sqrt(e_tot / omega**2)
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"the classical amplitude sqrt(E/omega^2) leaves the float range "
+                         f"at omega={omega!r}, hbar={hbar!r}")
     num, den = _modulus_over_norm(xi)
-    return (math.sqrt(e_tot / omega**2) * num / den)[()]
+    return (scale * num / den)[()]
 
 
 def _modulus_over_norm(xi) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,26 @@ the angles xi = tan(Theta/2) e^{i phi} it becomes (1/4) sin(Theta) dTheta
 dphi, so Gauss-Legendre nodes in u = cos(Theta) together with a uniform
 azimuth grid integrate every polynomial integrand exactly.
 
+The Gauss-Legendre rule comes from Newton's method in Theta on the cosine
+series
+
+    P_n(cos Theta) = sum_k g_k g_{n-k} cos((n-2k) Theta),  g_k = C(2k,k)/4^k,
+
+whose coefficients are positive and sum to P_n(1) = 1, so an evaluation
+never cancels; working in Theta keeps the nodes near u = +-1 apart.
+Newton starts from Tricomi's estimates of the roots with Theta <= pi/2,
+the other roots are their mirror images, and the weights are
+2 / (dP_n/dTheta)^2 at the converged roots.  Each step evaluates P_n and
+dP_n/dTheta at all those roots as contractions of one (n/2 x n/2) matrix
+of cosines and one of sines, so the rule costs O(n^2) time and O(n^2/4)
+memory, against O(n^3) for the companion-matrix eigenvalues of
+numpy.polynomial.legendre.leggauss; it takes three Newton steps for
+every n from 3 to 2000.  The contractions run in einsum, so the rule's
+bytes do not depend on the BLAS thread count.  Each argument (n-2k) Theta
+is formed exactly from a short head of Theta, and the tail enters as a
+first-order term: rounded products would cost the weights two digits at
+n = 2002, where they now agree with a 32-digit reference to 1e-14.
+
 Layout: the grid is a tensor product of n_polar Gauss-Legendre rings and
 n_azimuthal uniform azimuths, and it stores only what varies between
 rings: each ring's radius rho_p = tan(Theta_p/2) and the weight of each of
@@ -78,10 +98,56 @@ def sphere_grid(j: float, n_polar: int | None = None, n_azimuthal: int | None = 
         n_polar = two_j + 2
     if n_azimuthal is None:
         n_azimuthal = 2 * two_j + 4
-    u, wu = np.polynomial.legendre.leggauss(n_polar)
+    u, wu = _gauss_legendre(n_polar)
     return SphereGrid(rho=np.sqrt((1.0 - u) / (1.0 + u)),
                       ring_weights=wu * (2.0 * np.pi / n_azimuthal) * 0.25,
                       n_azimuthal=n_azimuthal)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u (ascending, u -> -u symmetric) and weights of the n-node Gauss-Legendre rule."""
+    if n < 1:
+        raise ValueError(f"the Gauss-Legendre rule needs at least 1 node, got {n}")
+    # g_k = C(2k,k)/4^k; P_n(cos t) = sum_k c_k cos(f_k t) with the terms
+    # k and n - k folded onto the frequencies f_k = n - 2k >= 0
+    g = np.cumprod(np.concatenate(([1.0], 1.0 - 0.5 / np.arange(1, n + 1))))
+    k = np.arange(n // 2 + 1)
+    f = n - 2.0 * k
+    c = np.where(f > 0, 2.0, 1.0) * g[k] * g[n - k]
+    cf, cff = c * f, c * f * f
+    scale = 2.0 ** (52 - int(n).bit_length())  # f * (a multiple of 1/scale below 2) is exact
+
+    def p_and_dp(t):
+        head = np.round(t * scale) / scale
+        tail = t - head
+        arg = np.multiply.outer(head, f)
+        cos = np.cos(arg)
+        sin = np.sin(arg, out=arg)
+        s1 = np.einsum("rk,k->r", sin, cf)
+        return (np.einsum("rk,k->r", cos, c) - tail * s1,
+                -s1 - tail * np.einsum("rk,k->r", cos, cff))
+
+    # the roots with t <= pi/2, ascending in t, from Tricomi's estimates
+    i = np.arange(1, (n + 1) // 2 + 1)
+    t = np.arccos((1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos((4 * i - 1) * np.pi / (4 * n + 2)))
+    # convergence is quadratic: after a step s the error is about n s^2 / 5,
+    # below 1e-17 for s <= 1e-10 at n = 2000
+    for _ in range(8):
+        p, dp = p_and_dp(t)
+        step = p / dp
+        t -= step
+        if np.max(np.abs(step)) <= 1e-10:
+            break
+    else:
+        raise RuntimeError(f"Newton's method for the {n}-node Gauss-Legendre rule did not converge")
+    if n % 2:  # the middle root of an odd rule is u = 0
+        t[-1] = 0.5 * np.pi
+    w = 2.0 / p_and_dp(t)[1] ** 2
+    u = np.cos(t)
+    if n % 2:
+        u[-1] = 0.0
+    half = n // 2
+    return np.concatenate((-u[:half], u[::-1])), np.concatenate((w[:half], w[::-1]))
 
 
 def radial_grid(m: int, order: int = 32) -> RadialGrid:

@@ -114,15 +114,15 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int, band=None) -> np.nda
                 + 1j * ring_projector_sum(grid, coeff.imag, two_j, band))
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
     coeff = coeff.reshape(n_polar, -1)
-    # spectrum[p, q] = sum_a coeff[p, a] e^{-2 pi i q a / n_az} for q <= n_az // 2;
-    # column n_az - q is its conjugate because coeff is real
-    if coeff.shape[1] == 1:  # constant on each ring: column 0 only, no FFT
-        spectrum = np.zeros((n_polar, n_az // 2 + 1), dtype=np.complex128)
-        spectrum[:, 0] = n_az * coeff[:, 0]
-    else:
-        spectrum = np.fft.rfft(coeff, axis=1)
     if band is not None:
         band = {q % n_az for q in band}
+    # spectrum[p, q] = sum_a coeff[p, a] e^{-2 pi i q a / n_az} for q <= n_az // 2;
+    # column n_az - q is its conjugate because coeff is real
+    if coeff.shape[1] == 1:  # constant on each ring: only column 0 can be non-zero, no FFT
+        spectrum = n_az * coeff
+        band = {0} if band is None else band & {0}
+    else:
+        spectrum = np.fft.rfft(coeff, axis=1)
     # ring amplitudes a_n(rho_p) with rows n: every ring starts at azimuth 0,
     # where the amplitudes are real (rho > 0 at every Gauss-Legendre node)
     amps = np.exp(_log_magnitudes(grid.rho, two_j)).T.copy()

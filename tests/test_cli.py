@@ -159,6 +159,15 @@ def test_non_finite_input_is_usage_error(argv, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega", ["1e200", "1e-200"])
+def test_omega_whose_square_leaves_the_float_range_is_an_error(omega, capsys):
+    code, out, err = run_cli(["clock-trace", "--m", "10", "--omega", omega,
+                              "--sweep", "tau:0:1:3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "float range" in err
+
+
 # (subcommand, float option, whether it must also be > 0)
 FLOAT_OPTIONS = [("overlap", "--j", False), ("clock-trace", "--omega", True),
                  ("clock-trace", "--hbar", True), ("clock-trace", "--phi-prime", False),

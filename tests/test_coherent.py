@@ -219,7 +219,7 @@ def test_resolution_of_unity_scalar():
 
 
 @pytest.mark.parametrize("j,tol", [(0.5, 1e-12), (10.0, 1e-10), (100.0, 1e-10),
-                                   (200.0, 1e-10)])
+                                   (200.0, 1e-10), (1000.0, 1e-11)])
 def test_resolution_of_unity(j, tol):
     res = coherent.resolution_of_unity(j)
     dim = int(round(2 * j)) + 1

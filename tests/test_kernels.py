@@ -63,13 +63,15 @@ def test_aliased_grid_matches_direct_sum(two_j, n_azimuthal):
 
 
 def test_operators_independent_of_blas_thread_count():
-    # the azimuth-dependent symbol runs reconstruct_operator over every diagonal
+    # the azimuth-dependent symbol runs reconstruct_operator over every diagonal, and
+    # sphere_grid(1000) runs the polar rule's contractions at n = 2002
     code = ("import hashlib\n"
             "import numpy as np\n"
-            "from spinclock import clock, coherent, symbols\n"
+            "from spinclock import clock, coherent, grids, symbols\n"
             "sym = lambda xi: np.exp(xi.real) / (1 + np.abs(xi) ** 2)\n"
+            "grid = grids.sphere_grid(1000)\n"
             "for op in (coherent.resolution_of_unity(100), clock.clock_operator(100, 0.7),\n"
-            "           symbols.reconstruct_operator(sym, 100)):\n"
+            "           symbols.reconstruct_operator(sym, 100), grid.rho, grid.ring_weights):\n"
             "    print(hashlib.sha256(op.tobytes()).hexdigest())\n")
     digests = []
     for threads in ("1", "4"):
