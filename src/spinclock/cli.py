@@ -20,6 +20,10 @@ from .errors import SpinclockError
 USAGE_ERROR = 1
 VERIFY_FAILURE = 2
 
+# the most bytes of arrays verify or symbols may plan to hold at once;
+# every documented use plans under 100 MiB
+ARRAY_BUDGET = 4 * 2**30
+
 
 class _Parser(argparse.ArgumentParser):
     # spec'd exit codes: 1 for usage errors (argparse default is 2)
@@ -130,6 +134,26 @@ def _spin(args, default: float | None = None) -> float:
     j = float(value) if flag == "--j" else value / 2.0
     coherent._check_two_j(j)
     return j
+
+
+def array_bytes(j: float, matrices: int, labels: int = 0) -> float:
+    """Estimated peak bytes at spin j: `matrices` complex (2j+1) x (2j+1)
+    matrices, and 4 complex words per label and basis state for an
+    amplitude batch over `labels` labels and its temporaries.
+
+    A float, so that an absurd spin gives inf instead of an int too large
+    to print as GiB.
+    """
+    dim = float(round(2 * j) + 1)
+    return 16.0 * dim * (matrices * dim + 4 * labels)
+
+
+def _check_array_bytes(j: float, matrices: int, labels: int = 0):
+    """Refuse, before any array is built, a spin whose arrays exceed ARRAY_BUDGET."""
+    need = array_bytes(j, matrices, labels)
+    if need > ARRAY_BUDGET:
+        raise SpinclockError(f"spin j={j:g} needs about {need / 2**30:.1f} GiB of arrays, "
+                             f"over the {ARRAY_BUDGET / 2**30:g} GiB budget")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -267,7 +291,10 @@ def cmd_clock_trace(args) -> int:
 
 def cmd_symbols(args) -> int:
     j = _spin(args)
-    xis = _sweep_grid(args, "xi", (0.0, 3.0, 61)).astype(complex)
+    count = 61 if args.sweep is None else args.sweep[3]
+    # the spin matrices peak at 5.5 matrices' worth (tracemalloc, j = 200)
+    _check_array_bytes(j, matrices=6, labels=count)
+    xis = _sweep_grid(args, "xi", (0.0, 3.0, count)).astype(complex)
     cols = {"xi_re": list(xis.real), "xi_im": list(xis.imag)}
     cols.update({f"s{k}_closed": list(s)
                  for k, s in enumerate(symbols.spin_symbols_closed_form(xis, j), 1)})
@@ -280,6 +307,9 @@ def cmd_symbols(args) -> int:
 
 def cmd_verify(args) -> int:
     j = _spin(args, default=5.0)
+    # reconstruct_operator's labels, coefficients and spectrum peak at 14.7
+    # matrices' worth (tracemalloc, j = 200)
+    _check_array_bytes(j, matrices=15)
     results = verify.run_checks(j=j, seed=args.seed, quad_order=args.quad_order)
     all_passed = all(r.passed for r in results)
     meta = _meta(args, command="verify", j=j)

@@ -147,7 +147,8 @@ def radial_weight(r, m: int):
 
 
 def _check_two_j(j: float) -> int:
-    two_j = round(2 * j)
+    # a finite j above 9e307 doubles to inf, which no integer 2j matches
+    two_j = round(2 * j) if math.isfinite(2 * j) else -1
     if two_j < 0 or abs(2 * j - two_j) > 1e-12:
         raise ValueError(f"2j must be a nonnegative integer, got j={j}")
     return two_j

@@ -26,6 +26,13 @@ is formed exactly from a short head of Theta, and the tail enters as a
 first-order term: rounded products would cost the weights two digits at
 n = 2002, where they now agree with a 32-digit reference to 1e-14.
 
+Each rule is computed once per node count per process and shared: a
+bounded least-recently-used cache keeps the last few dozen rules (32 KB
+at n = 2002), and their arrays are read-only, so no caller can change a
+rule another caller reads.  sphere_grid derives its own writable radii
+and weights from them.  A node count below 1 raises on every call; the
+cache keeps no errors.
+
 Layout: the grid is a tensor product of n_polar Gauss-Legendre rings and
 n_azimuthal uniform azimuths, and it stores only what varies between
 rings: each ring's radius rho_p = tan(Theta_p/2) and the weight of each of
@@ -44,6 +51,7 @@ Laguerre recurrence; normalizing at this stage avoids the Gamma(m+2)
 overflow that plain generalized Gauss-Laguerre weights hit for large m.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +112,12 @@ def sphere_grid(j: float, n_polar: int | None = None, n_azimuthal: int | None = 
                       n_azimuthal=n_azimuthal)
 
 
+@functools.lru_cache(maxsize=32)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u (ascending, u -> -u symmetric) and weights of the n-node Gauss-Legendre rule."""
+    """Nodes u (ascending, u -> -u symmetric) and weights of the n-node Gauss-Legendre rule.
+
+    Cached per n; the arrays are read-only.
+    """
     if n < 1:
         raise ValueError(f"the Gauss-Legendre rule needs at least 1 node, got {n}")
     # g_k = C(2k,k)/4^k; P_n(cos t) = sum_k c_k cos(f_k t) with the terms
@@ -147,7 +159,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n % 2:
         u[-1] = 0.0
     half = n // 2
-    return np.concatenate((-u[:half], u[::-1])), np.concatenate((w[:half], w[::-1]))
+    u, w = np.concatenate((-u[:half], u[::-1])), np.concatenate((w[:half], w[::-1]))
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def radial_grid(m: int, order: int = 32) -> RadialGrid:

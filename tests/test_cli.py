@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spinclock import clock
+from spinclock import cli, clock, verify
 from spinclock.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -100,6 +100,7 @@ def test_second_spin_flag_is_usage_error(argv, capsys):
     ["overlap", "--m-prime", "-3"],
     ["figure", "1", "--j", "0.25"],
     ["symbols", "--j", "-0.5"],
+    ["verify", "--j", "1e308"],  # 2j overflows to inf
 ])
 def test_spin_that_is_not_a_half_integer_is_usage_error(argv, capsys):
     code, _, err = run_cli(argv, capsys)
@@ -366,6 +367,35 @@ def test_verify_degenerate_spin_passes(capsys):
     code = main(["verify", "--j", "0"])
     capsys.readouterr()
     assert code == 0
+
+
+def test_array_estimate_at_large_spin():
+    dim = 200001  # j = 1e5
+    assert cli.array_bytes(1e5, 15) == 16 * 15 * dim**2
+    assert cli.array_bytes(1e5, 6, labels=61) == 16 * dim * (6 * dim + 4 * 61)
+    assert cli.array_bytes(1e5, 6) > 2**40 > cli.ARRAY_BUDGET
+
+
+def test_array_budget_admits_documented_uses():
+    assert cli.array_bytes(200, 6, labels=2001) < 100 * 2**20
+    assert cli.array_bytes(100, 15) < 100 * 2**20
+
+
+@pytest.mark.parametrize("argv", [["verify", "--j", "100000"],
+                                  ["symbols", "--j", "100000"],
+                                  ["symbols", "--m-prime", "200000", "--sweep", "xi:0:1:3"],
+                                  ["symbols", "--j", "1e200"]])  # an estimate of inf
+def test_spin_too_large_for_memory_is_refused_before_any_array(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an array before the budget check")
+
+    for name in ("linspace", "zeros", "empty", "eye", "arange"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(verify, "run_checks", refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert re.fullmatch(r"spinclock: error: spin j=(100000|1e\+200) needs about "
+                        r"(\d+\.\d|inf) GiB of arrays, over the 4 GiB budget\n", err)
 
 
 def _readme_commands():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +204,49 @@ def test_overlap_closed_form_and_bound(x1, x2, two_j):
                                coherent.su2_coherent(x2, j)))
     assert abs(closed - explicit) < 1e-12
     assert abs(closed) <= 1.0 + 1e-12
+
+
+# labels with |xi| near 0, near 1 and large, each at a generic phase
+ORACLE_LABELS = np.array([1e-3 * np.exp(0.4j), 2.5e-9 - 1e-9j, 1.0, 0.999 + 0.03j,
+                          np.exp(2.1j), 1e3 * np.exp(-1.3j), 1e9j, -7.5e5 + 2e5j])
+
+
+def _mp(z):
+    return mpmath.mpc(z.real, z.imag)
+
+
+def _assert_near_oracle(got, want, two_j):
+    # relative error per value: the log-domain forms lose about 2j ulps
+    # (measured at most 18.9 (2j+1) eps, from |xi| = 1e9 and 7.8e5); values
+    # below 1e-300 are held to an absolute bound
+    tol = 32 * (two_j + 1) * np.finfo(float).eps
+    for g, w in zip(got, want):
+        assert abs(_mp(g) - w) <= tol * abs(w) + 1e-300, (g, w)
+
+
+@pytest.mark.parametrize("two_j", [1, 15, 200, 2000])
+def test_su2_coherent_matches_mpmath(two_j):
+    got = coherent.su2_coherent(ORACLE_LABELS, two_j / 2)
+    with mpmath.workdps(30):
+        for x, row in zip(ORACLE_LABELS, got):
+            # c_0 = (1+|xi|^2)^{-j}, c_{n+1} = c_n xi sqrt((2j-n)/(n+1))
+            z = _mp(x)
+            c = [(1 + abs(z) ** 2) ** (-mpmath.mpf(two_j) / 2)]
+            for n in range(two_j):
+                c.append(c[-1] * z * mpmath.sqrt(mpmath.mpf(two_j - n) / (n + 1)))
+            _assert_near_oracle(row, c, two_j)
+
+
+@pytest.mark.parametrize("two_j", [1, 15, 200, 2000])
+def test_overlap_matches_mpmath(two_j):
+    x1, x2 = np.meshgrid(ORACLE_LABELS, ORACLE_LABELS)
+    got = coherent.overlap(x1.ravel(), x2.ravel(), two_j / 2)
+    with mpmath.workdps(30):
+        h = mpmath.mpf(two_j) / 2
+        want = [(1 + abs(_mp(a)) ** 2) ** -h * (1 + abs(_mp(b)) ** 2) ** -h
+                * (1 + mpmath.conj(_mp(a)) * _mp(b)) ** two_j
+                for a, b in zip(x1.ravel(), x2.ravel())]
+        _assert_near_oracle(got, want, two_j)
 
 
 def test_sphere_grid_total_measure():

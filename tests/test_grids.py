@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spinclock import grids
+from spinclock import clock, grids
 
 
 def _legendre_node(n, u0):
@@ -50,5 +50,31 @@ def test_polar_rule_ascending_and_symmetric(n):
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_polar_rule_needs_a_node(n):
-    with pytest.raises(ValueError, match="at least 1 node"):
-        grids._gauss_legendre(n)
+    for _ in range(2):  # the cache keeps no errors
+        with pytest.raises(ValueError, match="at least 1 node"):
+            grids._gauss_legendre(n)
+
+
+def test_polar_rule_is_shared_read_only():
+    u, w = grids._gauss_legendre(12)
+    assert grids._gauss_legendre(12)[0] is u
+    for a in (u, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert grids._gauss_legendre.cache_info().maxsize is not None
+
+
+def test_sphere_grid_arrays_are_writable_and_repeat_their_bytes():
+    first, second = grids.sphere_grid(7.5), grids.sphere_grid(7.5)
+    for a, b in ((first.rho, second.rho), (first.ring_weights, second.ring_weights)):
+        assert a.flags.writeable and a is not b
+        assert a.tobytes() == b.tobytes()
+    first.rho[:] = 0.0
+    assert grids.sphere_grid(7.5).rho.tobytes() == second.rho.tobytes()
+
+
+def test_second_clock_operator_builds_no_rule():
+    clock.clock_operator(6.0, 0.3)
+    misses = grids._gauss_legendre.cache_info().misses
+    clock.clock_operator(6.0, 1.1)
+    assert grids._gauss_legendre.cache_info().misses == misses

@@ -289,7 +289,7 @@ def _harmonics(xi):
             (2, "Y22"): (sin_e**2).imag, (3, "Y31"): sin_e.real * (5 * u**2 - 1)}
 
 
-@pytest.mark.parametrize("j", [1.0, 2.5, 10.0])
+@pytest.mark.parametrize("j", [1.0, 2.5, 10.0, 50.0, 100.0])
 def test_reconstruct_then_upper_symbol_is_berezin_eigenvalue(j):
     # Berezin (1975): the P-representation followed by the upper symbol scales
     # a degree-l harmonic by lambda_l; the azimuthal ones reach off-diagonals
