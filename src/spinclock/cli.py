@@ -139,21 +139,25 @@ def _spin(args, default: float | None = None) -> float:
 def array_bytes(j: float, matrices: int, labels: int = 0) -> float:
     """Estimated peak bytes at spin j: `matrices` complex (2j+1) x (2j+1)
     matrices, and 4 complex words per label and basis state for an
-    amplitude batch over `labels` labels and its temporaries.
-
-    A float, so that an absurd spin gives inf instead of an int too large
-    to print as GiB.
+    amplitude batch over `labels` labels and its temporaries.  A float, so
+    that an absurd spin gives inf instead of an int too large to print.
     """
     dim = float(round(2 * j) + 1)
     return 16.0 * dim * (matrices * dim + 4 * labels)
 
 
-def _check_array_bytes(j: float, matrices: int, labels: int = 0):
-    """Refuse, before any array is built, a spin whose arrays exceed ARRAY_BUDGET."""
-    need = array_bytes(j, matrices, labels)
+def grid_bytes(n_polar: float, n_azimuthal: float) -> float:
+    """Estimated peak bytes of reconstruct_operator on an n_polar x n_azimuthal grid: 4 n_polar^2
+    for the polar rule and 136 per node (tracemalloc, clock symbol on 3248 x 402 nodes)."""
+    n_polar = float(min(n_polar, 1e300))  # a larger int has no float; its bytes are inf
+    return n_polar * (4.0 * n_polar + 136.0 * n_azimuthal)
+
+
+def _check_array_bytes(j: float, need: float, detail: str = ""):
+    """Refuse, before any array is built, a spin whose arrays need more than ARRAY_BUDGET."""
     if need > ARRAY_BUDGET:
-        raise SpinclockError(f"spin j={j:g} needs about {need / 2**30:.1f} GiB of arrays, "
-                             f"over the {ARRAY_BUDGET / 2**30:g} GiB budget")
+        raise SpinclockError(f"spin j={j:g}{detail} needs about {need / 2**30:.1f} GiB of "
+                             f"arrays, over the {ARRAY_BUDGET / 2**30:g} GiB budget")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -293,7 +297,7 @@ def cmd_symbols(args) -> int:
     j = _spin(args)
     count = 61 if args.sweep is None else args.sweep[3]
     # the spin matrices peak at 5.5 matrices' worth (tracemalloc, j = 200)
-    _check_array_bytes(j, matrices=6, labels=count)
+    _check_array_bytes(j, array_bytes(j, matrices=6, labels=count))
     xis = _sweep_grid(args, "xi", (0.0, 3.0, count)).astype(complex)
     cols = {"xi_re": list(xis.real), "xi_im": list(xis.imag)}
     cols.update({f"s{k}_closed": list(s)
@@ -307,9 +311,12 @@ def cmd_symbols(args) -> int:
 
 def cmd_verify(args) -> int:
     j = _spin(args, default=5.0)
-    # reconstruct_operator's labels, coefficients and spectrum peak at 14.7
-    # matrices' worth (tracemalloc, j = 200)
-    _check_array_bytes(j, matrices=15)
+    # reconstruct_operator peaks at 14.7 matrices' worth on the default grid (tracemalloc,
+    # j = 200); the clock check's 8 (2j+6) x (2j+2) grid and a --quad-order grid add theirs
+    n = args.quad_order
+    need = array_bytes(j, matrices=15) + grid_bytes(8 * (2 * j + 6), 2 * j + 2) \
+        + grid_bytes(n or 0, 4 * j + 4)
+    _check_array_bytes(j, need, "" if n is None else f" with --quad-order {n}")
     results = verify.run_checks(j=j, seed=args.seed, quad_order=args.quad_order)
     all_passed = all(r.passed for r in results)
     meta = _meta(args, command="verify", j=j)

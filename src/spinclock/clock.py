@@ -18,6 +18,9 @@ np.arctan2 differs from it in the last ulp on some labels.  Where
 |xi|^2 overflows, |xi| / sqrt(1+|xi|^2) comes from the antipodal label
 1/xi, by the rule spin_symbols_closed_form uses too.
 
+clock_operator quantizes this symbol exactly, by a Beta function
+(Berezin, Commun. Math. Phys. 40, 153, 1975), and needs no grid.
+
 Correlation functions between spin coherent states measure how sharp the
 clock is: a Gaussian of width 1/(2j) in the amplitude angle and
 2j/(E1 E2) in the relative phase.
@@ -29,9 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .coherent import _antipodal_where_far, _check_two_j, su2_coherent
+from .coherent import _antipodal_where_far, _check_two_j
 from .errors import ChartSingularityError
-from .grids import RadialGrid, SphereGrid, radial_grid, sphere_grid
+from .grids import RadialGrid, radial_grid
 from .symbols import FullLowerSymbol, ReducedLowerSymbol, _radial_mean
 
 
@@ -149,20 +152,27 @@ def classical_limit_check(xi: complex, m_list, tau_grid,
 
 
 def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
-                   omega: float = 1.0, grid: SphereGrid | None = None) -> np.ndarray:
-    """Operator of the clock symbol: ((2j+1)/pi) int q1'(xi;tau) |xi><xi| dmu.
+                   omega: float = 1.0) -> np.ndarray:
+    """Operator of the clock symbol: ((2j+1)/pi) int q1'(xi;tau) |xi><xi| dmu, exactly.
 
-    The symbol is evaluated ring by ring through its covariance
-    q1'(rho e^{i phi}; tau) = q1'(rho; tau) with phi' -> phi' + phi, so the
-    node labels grid.xi are never built.
+    With m = 2j, G = gamma_half_ratio(m) and psi = omega*tau + phi', the
+    term G xi e^{i psi} / sqrt(1+|xi|^2) of q1' pairs only with
+    <n|xi><xi|n+1>, and its radial integral in |xi|^2 is a Beta function:
+
+        C[n, n+1] = (2j+1) G sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+1/2) e^{i psi},
+
+    C[n+1, n] its conjugate and every other entry exactly 0.
     """
     two_j = _check_two_j(j)
-    if grid is None:
-        grid = sphere_grid(j, n_polar=two_j + 6)
-    vals = clock_symbol_q1(grid.rho[:, None], two_j, tau, phi_prime + grid.phi, omega)
-    # on a ring the symbol is one harmonic cos(phi + ...): columns +-1 only
-    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(
-        grid, grid.ring_weights[:, None] * vals, two_j, band={1, -1})
+    log_beta = np.array([math.lgamma(k + 2.0) + math.lgamma(two_j - k + 0.5)
+                         for k in range(two_j)]) - math.lgamma(two_j + 2.5)
+    half = kernels._log_binomial_halves(two_j)
+    entries = (two_j + 1) * gamma_half_ratio(two_j) * np.exp(half[:-1] + half[1:] + log_beta)
+    n = np.arange(two_j)
+    out = np.zeros((two_j + 1, two_j + 1), dtype=np.complex128)
+    out[n, n + 1] = entries * np.exp(1j * (omega * tau + phi_prime))
+    out[n + 1, n] = out[n, n + 1].conj()
+    return out
 
 
 def fit_gaussian_width(x: np.ndarray, y: np.ndarray,
@@ -240,8 +250,3 @@ def phase_correlation(xi_mag: float, j: float,
                             sigma2_fit=sigma2_fit, sigma2_pred=sigma2_pred,
                             meta={"kind": "phase", "j": j, "xi_mag": xi_mag})
 
-
-def overlap_inner_product_batch(xi_ref: complex, xis: np.ndarray, j: float
-                                ) -> np.ndarray:
-    """|<xi'|xi_ref>| via explicit amplitude vectors (oracle for the closed form)."""
-    return np.abs(su2_coherent(xis, j).conj() @ su2_coherent(xi_ref, j))

@@ -48,12 +48,15 @@ def project_coherent(alpha: complex, beta: complex, m_prime: int
     r = abs(alpha) ** 2 + abs(beta) ** 2
     n = np.arange(m_prime + 1)
     log_fact = np.array([math.lgamma(k + 1) for k in n])
-    pref = math.exp(-0.5 * r)
-    amps = pref * np.power(alpha, n) * np.power(beta, m_prime - n) \
-        * np.exp(-0.5 * (log_fact + log_fact[::-1]))
+    # in the log domain, where the linear powers over- and underflow; 0^0 = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mag = -0.5 * (r + log_fact + log_fact[::-1]) \
+            + np.where(n > 0, n * np.log(abs(alpha)), 0.0) \
+            + np.where(n < m_prime, (m_prime - n) * np.log(abs(beta)), 0.0)
+    amps = np.exp(log_mag + 1j * (n * cmath.phase(alpha) + (m_prime - n) * cmath.phase(beta)))
     norm_sq = math.exp(-r + m_prime * math.log(r) - math.lgamma(m_prime + 1)) \
         if r > 0 else (1.0 if m_prime == 0 else 0.0)
-    return amps.astype(np.complex128), norm_sq
+    return amps, norm_sq
 
 
 def factor_gauge_phase(alpha: complex, beta: complex, m_prime: int
@@ -126,9 +129,8 @@ def resolution_of_unity(j: float, grid: SphereGrid | None = None) -> np.ndarray:
     two_j = _check_two_j(j)
     if grid is None:
         grid = sphere_grid(j)
-    # the coefficients are the ring weights, constant on each ring: column 0 only
-    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.ring_weights, two_j,
-                                                              band={0})
+    # the coefficients are the ring weights, one per ring: column 0 only
+    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.ring_weights, two_j)
 
 
 def radial_weight(r, m: int):

@@ -4,7 +4,8 @@ for the constraint direction.
 The sphere measure is d(Re xi) d(Im xi) / (1+|xi|^2)^2, total mass pi.  In
 the angles xi = tan(Theta/2) e^{i phi} it becomes (1/4) sin(Theta) dTheta
 dphi, so Gauss-Legendre nodes in u = cos(Theta) together with a uniform
-azimuth grid integrate every polynomial integrand exactly.
+azimuth grid integrate every polynomial integrand exactly; with a factor
+such as sin(Theta/2), no polynomial in u, they converge only algebraically.
 
 The Gauss-Legendre rule comes from Newton's method in Theta on the cosine
 series
@@ -26,12 +27,10 @@ is formed exactly from a short head of Theta, and the tail enters as a
 first-order term: rounded products would cost the weights two digits at
 n = 2002, where they now agree with a 32-digit reference to 1e-14.
 
-Each rule is computed once per node count per process and shared: a
-bounded least-recently-used cache keeps the last few dozen rules (32 KB
-at n = 2002), and their arrays are read-only, so no caller can change a
-rule another caller reads.  sphere_grid derives its own writable radii
-and weights from them.  A node count below 1 raises on every call; the
-cache keeps no errors.
+Each rule is computed once per node count per process: a bounded LRU
+cache keeps the last few dozen (32 KB at n = 2002) as read-only arrays,
+from which sphere_grid derives its own writable radii and weights.  A
+node count below 1 raises on every call; the cache keeps no errors.
 
 Layout: the grid is a tensor product of n_polar Gauss-Legendre rings and
 n_azimuthal uniform azimuths, and it stores only what varies between
@@ -41,9 +40,7 @@ ring p at azimuth 2 pi a / n_azimuthal, so consecutive blocks of
 n_azimuthal nodes are the rings, each starting at azimuth 0.
 kernels.ring_projector_sum works on the rings directly; only a caller that
 evaluates a black-box symbol builds the node labels grid.xi, from n_polar
-radii and n_azimuthal phase factors.  A symbol that is covariant under
-xi -> xi e^{i phi} can instead be evaluated on rho[:, None] and the
-azimuths phi, as the clock operator's is.
+radii and n_azimuthal phase factors.
 
 The radial weight is r^{m+1} e^{-r} / (m+1)!.  Nodes and *normalized*
 weights come from the Golub-Welsch eigenproblem of the generalized
@@ -66,14 +63,10 @@ class SphereGrid:
     n_azimuthal: int  # nodes per ring, at azimuths 2 pi a / n_azimuthal
 
     @property
-    def phi(self) -> np.ndarray:
-        """Azimuth phi_a = 2 pi a / n_azimuthal of each node on a ring."""
-        return np.arange(self.n_azimuthal) * (2.0 * np.pi / self.n_azimuthal)
-
-    @property
     def xi(self) -> np.ndarray:
-        """Complex chart coordinate rho_p e^{i phi_a} of every node, rings in order."""
-        return np.outer(self.rho, np.exp(1j * self.phi)).ravel()
+        """Chart coordinate rho_p e^{2 pi i a / n_azimuthal} of every node, rings in order."""
+        phi = np.arange(self.n_azimuthal) * (2.0 * np.pi / self.n_azimuthal)
+        return np.outer(self.rho, np.exp(1j * phi)).ravel()
 
     @property
     def weights(self) -> np.ndarray:

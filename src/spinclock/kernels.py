@@ -15,25 +15,16 @@ with real a_n, so entry (n, n') of the sum is
     sum_rings a_n a_n' sum_phi c(rho, phi) e^{i (n - n') phi},
 
 and the inner sum is column (n' - n) mod n_azimuthal of the azimuthal
-FFT of c on that ring.  Each operator knows which of these ring Fourier
-columns its coefficients can reach (its band), and diagonal n - n' reads
-only one column, so the kernel computes the diagonals whose column is in
-the band and leaves the rest exactly zero:
-
-    resolution_of_unity    band {0}    constant on each ring, no FFT
-    clock_operator         band {+-1}  one harmonic cos(phi + ...)
-    reconstruct_operator   all columns the symbol is a black box
-
-For real coefficients the spectrum has column -q = conj(column q), so
-one np.fft.rfft per ring gives every column and the kernel computes one
-triangle and mirrors it as its conjugate: the result is exactly
-Hermitian.  Each computed diagonal d costs one weighted sum over the
-rings of a_n a_{n-d}, O(n_polar (dim - d)); the full band costs
-O(n_polar (n_az log n_az + dim^2)) against O(npts dim^2) for the dense
-sum over all nodes, band {0} O(n_polar dim) and band {+-1}
-O(n_polar (n_az log n_az + dim)).  The temporaries are n_polar x n_az
-(the coefficients and their spectrum) and n_polar x dim (the ring
-amplitudes), never npts x dim.
+FFT of c on that ring.  Coefficients given one per ring reach only
+column 0, so no FFT runs and only the diagonals d = 0 mod n_azimuthal
+are computed, the rest being exactly zero.  For real coefficients one
+np.fft.rfft per ring gives every column, and the kernel computes one
+triangle and mirrors it as its conjugate, so the result is exactly
+Hermitian.  Each computed diagonal d costs a weighted sum over the rings
+of a_n a_{n-d}: per-node coefficients cost O(n_polar (n_az log n_az +
+dim^2)) against O(npts dim^2) for the dense sum over the nodes, per-ring
+ones O(n_polar dim) if n_az > 2j.  The temporaries are n_polar x n_az
+and n_polar x dim, never npts x dim.
 """
 
 import math
@@ -94,14 +85,12 @@ def coherent_amplitudes(xi, two_j: int) -> np.ndarray:
     return out
 
 
-def ring_projector_sum(grid: SphereGrid, coeff, two_j: int, band=None) -> np.ndarray:
+def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     """sum_k coeff[k] |xi_k><xi_k| over the nodes of grid, a dense (2j+1, 2j+1) matrix.
 
     coeff holds one value per grid node in the grid's order, or one value
-    per ring when it is constant on each ring.  band is the set of ring
-    Fourier columns q (taken mod n_azimuthal) where coeff may be non-zero,
-    or None for all of them; diagonal d of the result is computed when d
-    or -d is in band mod n_azimuthal and is exactly zero otherwise, so a
+    per ring when it is constant on each ring; then only the diagonals
+    d = 0 mod n_azimuthal are computed and the rest are exactly zero, so a
     grid with n_azimuthal <= 2j still gives the aliased quadrature sum.
     Real coefficients give an exactly Hermitian result; complex ones are
     summed as S(Re coeff) + i S(Im coeff).  The reductions over rings run
@@ -110,29 +99,22 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int, band=None) -> np.nda
     """
     coeff = np.asarray(coeff)
     if np.iscomplexobj(coeff):
-        return (ring_projector_sum(grid, coeff.real, two_j, band)
-                + 1j * ring_projector_sum(grid, coeff.imag, two_j, band))
+        return (ring_projector_sum(grid, coeff.real, two_j)
+                + 1j * ring_projector_sum(grid, coeff.imag, two_j))
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
     coeff = coeff.reshape(n_polar, -1)
-    if band is not None:
-        band = {q % n_az for q in band}
+    per_ring = coeff.shape[1] == 1
     # spectrum[p, q] = sum_a coeff[p, a] e^{-2 pi i q a / n_az} for q <= n_az // 2;
     # column n_az - q is its conjugate because coeff is real
-    if coeff.shape[1] == 1:  # constant on each ring: only column 0 can be non-zero, no FFT
-        spectrum = n_az * coeff
-        band = {0} if band is None else band & {0}
-    else:
-        spectrum = np.fft.rfft(coeff, axis=1)
+    spectrum = n_az * coeff if per_ring else np.fft.rfft(coeff, axis=1)
     # ring amplitudes a_n(rho_p) with rows n: every ring starts at azimuth 0,
     # where the amplitudes are real (rho > 0 at every Gauss-Legendre node)
     amps = np.exp(_log_magnitudes(grid.rho, two_j)).T.copy()
     out = np.zeros((dim, dim), dtype=np.complex128)
     # flat views: entry (n, n') of out is element n * dim + n' of each
     out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
-    for d in range(dim):
+    for d in range(0, dim, n_az if per_ring else 1):
         q = d % n_az
-        if band is not None and q not in band and -q % n_az not in band:
-            continue
         column = spectrum[:, q] if q <= n_az // 2 else spectrum[:, n_az - q].conj()
         # entries (n-d, n) carry e^{-i d phi}: sum_p a_{n-d} a_n column[p]
         upper = np.einsum("nr,kr->kn", amps[d:] * amps[:dim - d],

@@ -369,6 +369,13 @@ def test_verify_degenerate_spin_passes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("j", ["30", "100"])
+def test_verify_passes_at_large_spin(j, capsys):
+    # the tolerances scale with the size of the entries they bound
+    code, _, err = run_cli(["verify", "--j", j], capsys)
+    assert code == 0, err
+
+
 def test_array_estimate_at_large_spin():
     dim = 200001  # j = 1e5
     assert cli.array_bytes(1e5, 15) == 16 * 15 * dim**2
@@ -378,7 +385,16 @@ def test_array_estimate_at_large_spin():
 
 def test_array_budget_admits_documented_uses():
     assert cli.array_bytes(200, 6, labels=2001) < 100 * 2**20
-    assert cli.array_bytes(100, 15) < 100 * 2**20
+    assert cli.array_bytes(100, 15) + cli.grid_bytes(8 * 206, 202) < 100 * 2**20
+
+
+def _refuse_arrays(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an array before the budget check")
+
+    for name in ("linspace", "zeros", "empty", "eye", "arange"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(verify, "run_checks", refuse)
 
 
 @pytest.mark.parametrize("argv", [["verify", "--j", "100000"],
@@ -386,16 +402,22 @@ def test_array_budget_admits_documented_uses():
                                   ["symbols", "--m-prime", "200000", "--sweep", "xi:0:1:3"],
                                   ["symbols", "--j", "1e200"]])  # an estimate of inf
 def test_spin_too_large_for_memory_is_refused_before_any_array(argv, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("built an array before the budget check")
-
-    for name in ("linspace", "zeros", "empty", "eye", "arange"):
-        monkeypatch.setattr(np, name, refuse)
-    monkeypatch.setattr(verify, "run_checks", refuse)
+    _refuse_arrays(monkeypatch)
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
     assert re.fullmatch(r"spinclock: error: spin j=(100000|1e\+200) needs about "
                         r"(\d+\.\d|inf) GiB of arrays, over the 4 GiB budget\n", err)
+
+
+@pytest.mark.parametrize("n, gib", [("100000", "37.6"), ("1" + "0" * 400, "inf")])
+def test_quad_order_too_large_for_memory_is_refused_before_any_array(n, gib, monkeypatch,
+                                                                      capsys):
+    # at 100000 the polar rule alone would hold two 50000 x 50001 float matrices, 18.6 GiB
+    _refuse_arrays(monkeypatch)
+    code, out, err = run_cli(["verify", "--j", "5", "--quad-order", n], capsys)
+    assert code == 1 and out == ""
+    assert err == (f"spinclock: error: spin j=5 with --quad-order {n} needs about "
+                   f"{gib} GiB of arrays, over the 4 GiB budget\n")
 
 
 def _readme_commands():

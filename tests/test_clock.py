@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,18 +147,55 @@ def test_clock_operator_hermitian_traceless(j):
         assert abs(np.trace(op)) < 1e-12
 
 
-@pytest.mark.parametrize("j", [0.5, 3.0, 10.0])
-def test_clock_operator_equals_sum_over_grid_nodes(j):
-    # ((2j+1)/pi) sum_k w_k q1'(xi_k; tau) |xi_k><xi_k| over the nodes of the
-    # operator's grid, with the symbol evaluated on the node labels themselves
+def _clock_entries_mpmath(two_j, psi):
+    """C[n, n+1] = (2j+1) Gamma(m+5/2)/(m+1)! sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+1/2) e^{i psi}
+    with m = 2j, to 30 digits."""
+    with mpmath.workdps(30):
+        m = two_j
+        g = mpmath.gamma(m + mpmath.mpf(5) / 2) / mpmath.factorial(m + 1)
+        phase = mpmath.expj(psi)
+        return [complex((m + 1) * g * mpmath.sqrt(mpmath.binomial(m, n) * mpmath.binomial(m, n + 1))
+                        * mpmath.beta(n + 2, m - n + mpmath.mpf(1) / 2) * phase)
+                for n in range(m)]
+
+
+@pytest.mark.parametrize("j", [0.5, 5.0, 50.0, 1000.0])
+def test_clock_operator_matches_mpmath_beta_expression(j):
+    # measured worst relative error of an entry: 0.3, 2.1, 5.1 and 12.2 (2j+1) eps
+    # at j = 1/2, 5, 50 and 1000, from the log-Gamma sums of the binomials and the
+    # Beta function; a 1e-13 change to the constant fails j = 5
     two_j = int(2 * j)
     tau, phip, omega = 0.7, 0.3, 1.4
-    grid = sphere_grid(j, n_polar=two_j + 6)
-    coeff = grid.weights * clock.clock_symbol_q1(grid.xi, two_j, tau, phip, omega)
-    vecs = su2_coherent(grid.xi, j)
-    want = (two_j + 1) / np.pi * np.einsum("k,kn,km->nm", coeff, vecs, vecs.conj())
-    got = clock.clock_operator(j, tau, phip, omega)
-    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    op = clock.clock_operator(j, tau, phip, omega)
+    n = np.arange(two_j)
+    want = np.array(_clock_entries_mpmath(two_j, omega * tau + phip))
+    rel = np.max(np.abs(op[n, n + 1] - want) / np.abs(want))
+    assert rel < 32 * (two_j + 1) * np.finfo(float).eps
+    # exactly Hermitian, traceless and zero beyond the first off-diagonals
+    assert np.array_equal(op, op.conj().T)
+    off = op.copy()
+    off[n, n + 1] = off[n + 1, n] = 0.0
+    assert not np.any(off)
+
+
+@pytest.mark.parametrize("j", [0.5, 3.0, 10.0])
+def test_clock_operator_is_limit_of_sum_over_grid_nodes(j):
+    # ((2j+1)/pi) sum_k w_k q1'(xi_k; tau) |xi_k><xi_k| over the nodes of refined
+    # grids: sin(Theta/2) in the symbol is not a polynomial in cos(Theta), so the
+    # sum converges like n_polar^-3, about 8x per doubling of the rings
+    two_j = int(2 * j)
+    tau, phip, omega = 0.7, 0.3, 1.4
+    want = clock.clock_operator(j, tau, phip, omega)
+    errs = []
+    for k in (1, 2, 4):
+        grid = sphere_grid(j, n_polar=k * (two_j + 6))
+        coeff = grid.weights * clock.clock_symbol_q1(grid.xi, two_j, tau, phip, omega)
+        vecs = su2_coherent(grid.xi, j)
+        got = (two_j + 1) / np.pi * np.einsum("k,kn,km->nm", coeff, vecs, vecs.conj())
+        errs.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    assert 3e-4 < errs[0] < 2e-3  # measured 9.4e-4, 1.2e-3 and 6.1e-4
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse / fine == pytest.approx(8.0, rel=0.1)  # measured 7.4 to 7.9
 
 
 def test_clock_operator_large_spin_is_tridiagonal():
@@ -169,7 +207,7 @@ def test_clock_operator_large_spin_is_tridiagonal():
     n = np.arange(op.shape[0] - 1)
     far = op.copy()
     far[n, n + 1] = far[n + 1, n] = 0.0
-    assert np.max(np.abs(far)) < 1e-13
+    assert not np.any(far)
     assert np.min(np.abs(op[n, n + 1])) > 0.1
 
 
@@ -200,6 +238,12 @@ def test_clock_operator_upper_symbol_sinusoidal():
     assert np.max(np.abs(vals - a * c - b * s)) < 1e-10
 
 
+def overlap_inner_product_batch(xi_ref: complex, xis: np.ndarray, j: float
+                                ) -> np.ndarray:
+    """|<xi'|xi_ref>| via explicit amplitude vectors (oracle for the closed form)."""
+    return np.abs(su2_coherent(xis, j).conj() @ su2_coherent(xi_ref, j))
+
+
 def test_amplitude_correlation_peak_and_width():
     j = 10.0
     theta = math.pi / 4
@@ -216,8 +260,7 @@ def test_amplitude_correlation_matches_inner_products(j):
     theta = 0.6
     sweep = np.linspace(theta - 0.5, theta + 0.5, 41)
     trace = clock.amplitude_correlation(theta, j, sweep)
-    oracle = clock.overlap_inner_product_batch(math.tan(theta),
-                                               np.tan(sweep).astype(complex), j)
+    oracle = overlap_inner_product_batch(math.tan(theta), np.tan(sweep).astype(complex), j)
     assert np.max(np.abs(trace.overlap - oracle)) < 1e-12
 
 
@@ -234,8 +277,7 @@ def test_phase_correlation_width_and_oracle():
     assert trace.sigma2_pred == pytest.approx(2.0 / j)
     assert trace.sigma2_fit == pytest.approx(trace.sigma2_pred, rel=0.01)
     xi = 1.0
-    oracle = clock.overlap_inner_product_batch(
-        xi, xi * np.exp(1j * sweep), j)
+    oracle = overlap_inner_product_batch(xi, xi * np.exp(1j * sweep), j)
     assert np.max(np.abs(trace.overlap - oracle)) < 1e-12
 
 

@@ -146,6 +146,23 @@ def test_factor_gauge_phase_reconstructs_state():
     assert np.max(np.abs(direction - rebuilt)) < 1e-12
 
 
+def test_factored_projection_at_large_sector():
+    # labels on the constraint surface |alpha|^2 + |beta|^2 = m' + 1, where
+    # alpha^n alone overflows; measured worst 2.8e-13 for the direction and
+    # 1.4e-12 relative for the norm, whose log-Gamma terms reach 1.3e4
+    m_prime = 2000
+    rng = np.random.default_rng(8)
+    for alpha, beta in rng.normal(size=(8, 4)).view(complex):
+        scale = math.sqrt((m_prime + 1) / (abs(alpha) ** 2 + abs(beta) ** 2))
+        alpha, beta = scale * alpha, scale * beta
+        amps, norm_sq = coherent.project_coherent(alpha, beta, m_prime)
+        assert np.vdot(amps, amps).real == pytest.approx(norm_sq, rel=5e-12)
+        theta, xi = coherent.factor_gauge_phase(alpha, beta, m_prime)
+        direction = amps / np.linalg.norm(amps)
+        rebuilt = np.exp(1j * m_prime * theta) * coherent.su2_coherent(xi, m_prime / 2)
+        assert np.max(np.abs(direction - rebuilt)) < 1e-12
+
+
 def test_factor_gauge_phase_pole():
     with pytest.raises(ChartSingularityError):
         coherent.factor_gauge_phase(1.0, 0.0, 2)

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spinclock import clock, grids
+from spinclock import grids, symbols
 
 
 def _legendre_node(n, u0):
@@ -73,8 +73,8 @@ def test_sphere_grid_arrays_are_writable_and_repeat_their_bytes():
     assert grids.sphere_grid(7.5).rho.tobytes() == second.rho.tobytes()
 
 
-def test_second_clock_operator_builds_no_rule():
-    clock.clock_operator(6.0, 0.3)
+def test_second_reconstruct_operator_builds_no_rule():
+    symbols.reconstruct_operator(np.abs, 6.0)
     misses = grids._gauss_legendre.cache_info().misses
-    clock.clock_operator(6.0, 1.1)
+    symbols.reconstruct_operator(np.abs, 6.0)
     assert grids._gauss_legendre.cache_info().misses == misses

@@ -1,6 +1,6 @@
 import pytest
 
-from spinclock import verify
+from spinclock import clock, verify
 
 
 def _by_name(results):
@@ -18,6 +18,17 @@ def test_clock_covariance_needs_spin_one():
     checks = _by_name(verify.run_checks(0.5))
     assert "symbols.berezin_eigenvalue" in checks
     assert "clock.operator_covariance" not in checks
+    assert checks["clock.operator_quadrature"].passed
+
+
+def test_clock_quadrature_check_fails_on_a_wrong_constant(monkeypatch):
+    # the covariance check cannot see a wrong constant; the quadrature one must
+    exact = clock.clock_operator
+    monkeypatch.setattr(clock, "clock_operator", lambda *a, **kw: (1 + 1e-4) * exact(*a, **kw))
+    checks = _by_name(verify.run_checks(5.0))
+    assert checks["clock.operator_covariance"].passed
+    assert not checks["clock.operator_quadrature"].passed
+    assert checks["clock.operator_quadrature"].measured > 9e-5
 
 
 def test_berezin_check_fails_on_under_resolved_grid():
