@@ -47,7 +47,7 @@ def project_coherent(alpha: complex, beta: complex, m_prime: int
         raise ValueError("m_prime must be nonnegative")
     r = abs(alpha) ** 2 + abs(beta) ** 2
     n = np.arange(m_prime + 1)
-    log_fact = np.array([math.lgamma(k + 1) for k in n])
+    log_fact = np.array([math.lgamma(k + 1) for k in range(m_prime + 1)])
     # in the log domain, where the linear powers over- and underflow; 0^0 = 1
     with np.errstate(divide="ignore", invalid="ignore"):
         log_mag = -0.5 * (r + log_fact + log_fact[::-1]) \

@@ -24,7 +24,18 @@ Hermitian.  Each computed diagonal d costs a weighted sum over the rings
 of a_n a_{n-d}: per-node coefficients cost O(n_polar (n_az log n_az +
 dim^2)) against O(npts dim^2) for the dense sum over the nodes, per-ring
 ones O(n_polar dim) if n_az > 2j.  The temporaries are n_polar x n_az
-and n_polar x dim, never npts x dim.
+and n_polar x dim, never npts x dim: the spectrum columns the diagonals
+read are gathered once into a (diagonals, 2, n_polar) real array, and the
+products a_n a_{n-d} are formed in blocks of at most 256 rows in one
+reused buffer.
+
+The sum does no subnormal arithmetic on the amplitudes, which costs a
+microcode assist per operation on common x86 cores.  Ring amplitudes
+below 2**-511 are set to 0; every a_n <= 1, so the product of two kept
+amplitudes is at least 2**-1022, the smallest normal double.  Each
+dropped term is below 2**-511 |c_k|, so no entry moves by more than
+2**-511 sum_k |c_k|, far below the sum's own rounding bound
+eps sum_k |c_k|.
 """
 
 import math
@@ -33,15 +44,19 @@ import numpy as np
 
 from .grids import SphereGrid
 
+# ring amplitudes below this are dropped (see ring_projector_sum)
+_FLUSH_BELOW = 2.0 ** -511
+# ring_projector_sum forms the amplitude products in blocks of this many rows
+_BLOCK_ROWS = 256
+
 
 def _log_binomial_halves(two_j: int) -> np.ndarray:
     """0.5 * log C(2j, n) for n = 0..2j."""
     lg = math.lgamma(two_j + 1)
-    n = np.arange(two_j + 1)
     return 0.5 * (
         lg
-        - np.array([math.lgamma(k + 1) for k in n])
-        - np.array([math.lgamma(two_j - k + 1) for k in n])
+        - np.array([math.lgamma(k + 1) for k in range(two_j + 1)])
+        - np.array([math.lgamma(two_j - k + 1) for k in range(two_j + 1)])
     )
 
 
@@ -93,9 +108,11 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     d = 0 mod n_azimuthal are computed and the rest are exactly zero, so a
     grid with n_azimuthal <= 2j still gives the aliased quadrature sum.
     Real coefficients give an exactly Hermitian result; complex ones are
-    summed as S(Re coeff) + i S(Im coeff).  The reductions over rings run
-    in einsum, not in BLAS, so the bytes of the result do not depend on
-    the BLAS thread count.
+    summed as S(Re coeff) + i S(Im coeff).  Ring amplitudes below 2**-511
+    are dropped, which moves no entry by more than 2**-511 sum_k |coeff[k]|
+    (see the module docstring).  The reductions over rings run in einsum,
+    not in BLAS, so the bytes of the result do not depend on the BLAS
+    thread count.
     """
     coeff = np.asarray(coeff)
     if np.iscomplexobj(coeff):
@@ -104,24 +121,39 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
     coeff = coeff.reshape(n_polar, -1)
     per_ring = coeff.shape[1] == 1
+    diagonals = range(0, dim, n_az if per_ring else 1)
     # spectrum[p, q] = sum_a coeff[p, a] e^{-2 pi i q a / n_az} for q <= n_az // 2;
     # column n_az - q is its conjugate because coeff is real
     spectrum = n_az * coeff if per_ring else np.fft.rfft(coeff, axis=1)
+    # cols[i] holds Re and Im over the rings of column q = d mod n_az, for d = diagonals[i]
+    q = np.arange(0, dim, diagonals.step) % n_az
+    mirrored = q > n_az // 2
+    q[mirrored] = n_az - q[mirrored]
+    cols = np.empty((len(diagonals), 2, n_polar))
+    cols[:, 0] = spectrum.real.T[q]
+    cols[:, 1] = spectrum.imag.T[q]
+    np.negative(cols[:, 1], out=cols[:, 1], where=mirrored[:, None])
+    del spectrum
     # ring amplitudes a_n(rho_p) with rows n: every ring starts at azimuth 0,
     # where the amplitudes are real (rho > 0 at every Gauss-Legendre node)
     amps = np.exp(_log_magnitudes(grid.rho, two_j)).T.copy()
+    # a_n <= 1, so a product of two kept amplitudes is at least 2**-1022, never subnormal
+    amps[amps < _FLUSH_BELOW] = 0.0
+    product = np.empty((min(dim, _BLOCK_ROWS), n_polar))
     out = np.zeros((dim, dim), dtype=np.complex128)
     # flat views: entry (n, n') of out is element n * dim + n' of each
     out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
-    for d in range(0, dim, n_az if per_ring else 1):
-        q = d % n_az
-        column = spectrum[:, q] if q <= n_az // 2 else spectrum[:, n_az - q].conj()
-        # entries (n-d, n) carry e^{-i d phi}: sum_p a_{n-d} a_n column[p]
-        upper = np.einsum("nr,kr->kn", amps[d:] * amps[:dim - d],
-                          np.stack((column.real, column.imag)))
-        above = slice(d, (dim - d) * dim, dim + 1)  # entries (n-d, n)
-        below = slice(d * dim, None, dim + 1)  # entries (n, n-d)
-        out_re[below] = out_re[above] = upper[0]
-        out_im[below] = -upper[1]
-        out_im[above] = upper[1]
+    for d, col in zip(diagonals, cols):
+        # entry i of each: (i, i+d) above the diagonal, (i+d, i) below it
+        re_above, im_above = out_re[d:(dim - d) * dim:dim + 1], out_im[d:(dim - d) * dim:dim + 1]
+        re_below, im_below = out_re[d * dim::dim + 1], out_im[d * dim::dim + 1]
+        for start in range(0, dim - d, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, dim - d)
+            block = np.multiply(amps[d + start:d + stop], amps[start:stop],
+                                out=product[:stop - start])
+            # entries (n-d, n) carry e^{-i d phi}: sum_p a_{n-d} a_n col[:, p]
+            upper = np.einsum("nr,kr->kn", block, col)
+            re_below[start:stop] = re_above[start:stop] = upper[0]
+            im_below[start:stop] = -upper[1]
+            im_above[start:stop] = upper[1]
     return out

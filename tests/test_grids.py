@@ -78,3 +78,53 @@ def test_second_reconstruct_operator_builds_no_rule():
     misses = grids._gauss_legendre.cache_info().misses
     symbols.reconstruct_operator(np.abs, 6.0)
     assert grids._gauss_legendre.cache_info().misses == misses
+
+
+def _laguerre_rule(m, x0):
+    """30-digit generalized Gauss-Laguerre rule for r^{m+1} e^{-r}, weights normalized.
+
+    Each node is a root of L_n^(m+1), found by Newton from x0 with L_n and L_{n-1}
+    from the three-term recurrence; the weights are the Christoffel numbers
+    Gamma(n+a) x_i / (n! (n+a) L_{n-1}(x_i)^2) divided by Gamma(a+1), a = m+1.
+    """
+    n = len(x0)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(m + 1)
+
+        def lag(x):  # (L_n(x), L_{n-1}(x))
+            prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(n):
+                prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+            return cur, prev
+
+        nodes = []
+        for x in map(mpmath.mpf, x0):
+            for _ in range(50):
+                ln, lm = lag(x)
+                step = x * ln / (n * ln - (n + a) * lm)  # x L_n' = n L_n - (n+a) L_{n-1}
+                x -= step
+                if abs(step) <= mpmath.mpf(10) ** -28 * x:
+                    break
+            nodes.append(x)
+        scale = mpmath.exp(mpmath.loggamma(n + a) - mpmath.loggamma(n + 1) - mpmath.loggamma(a + 1))
+        weights = [scale * x / ((n + a) * lag(x)[1] ** 2) for x in nodes]
+        exact = mpmath.exp(mpmath.loggamma(m + mpmath.mpf(5) / 2) - mpmath.loggamma(m + 2))
+        return nodes, weights, mpmath.fsum(weights), mpmath.fsum(
+            w * mpmath.sqrt(x) for x, w in zip(nodes, weights)), exact
+
+
+@pytest.mark.parametrize("m", [10, 100, 1000])
+def test_radial_rule_matches_mpmath(m):
+    eps = np.finfo(float).eps
+    rule = grids.radial_grid(m)
+    nodes, weights, total, mean_sqrt, exact = _laguerre_rule(m, rule.nodes)
+    # Newton found every root of L_32 once, and the weights are normalized
+    assert len({mpmath.nstr(x, 20) for x in nodes}) == len(rule.nodes)
+    assert abs(total - 1) < 1e-25
+    assert max(abs(float(x - u)) for x, u in zip(nodes, rule.nodes)) <= 8 * eps * rule.nodes[-1]
+    assert max(abs(float(w - v)) for w, v in zip(weights, rule.weights)) <= 32 * eps
+    # mean of sqrt(r): the 32-node rule itself misses Gamma(m+5/2)/Gamma(m+2) by
+    # 1.0e-13 relative at m = 10 and by less than 1e-30 from m = 100 on
+    assert abs(float((mean_sqrt - exact) / exact)) <= 1.5e-13
+    got = np.dot(rule.weights, np.sqrt(rule.nodes))
+    assert abs(float((got - mean_sqrt) / mean_sqrt)) <= 32 * eps

@@ -62,6 +62,68 @@ def test_aliased_grid_matches_direct_sum(two_j, n_azimuthal):
     assert np.max(np.abs(got - direct(sym(grid.xi)))) < 1e-13
 
 
+def _reference_ring_sum(grid, coeff, two_j):
+    """The ring sum diagonal by diagonal, with no flushed amplitudes and no gathered columns.
+
+    Real coeff only; summed in the order ring_projector_sum sums."""
+    dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
+    coeff = coeff.reshape(n_polar, -1)
+    per_ring = coeff.shape[1] == 1
+    spectrum = n_az * coeff if per_ring else np.fft.rfft(coeff, axis=1)
+    amps = np.exp(kernels._log_magnitudes(grid.rho, two_j)).T.copy()
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
+    for d in range(0, dim, n_az if per_ring else 1):
+        q = d % n_az
+        column = spectrum[:, q] if q <= n_az // 2 else spectrum[:, n_az - q].conj()
+        upper = np.einsum("nr,kr->kn", amps[d:] * amps[:dim - d],
+                          np.stack((column.real, column.imag)))
+        above = slice(d, (dim - d) * dim, dim + 1)
+        below = slice(d * dim, None, dim + 1)
+        out_re[below] = out_re[above] = upper[0]
+        out_im[below] = -upper[1]
+        out_im[above] = upper[1]
+    return out
+
+
+@pytest.mark.parametrize("j", [50, 100])
+def test_ratio_operator_bytes_match_reference_ring_sum(j):
+    # the benchmark's ratio symbol c0 + c1 t/(1+t), t = |xi|^2, with seeded constants
+    rng = np.random.default_rng(12)
+    grid = sphere_grid(j)
+    for c0, c1 in zip(rng.uniform(-2.0, 2.0, 3), rng.uniform(0.5, 2.5, 3)):
+        def ratio(xi):
+            t = np.square(np.abs(xi))
+            return c0 + c1 * t / (1.0 + t)
+
+        want = ((2 * j + 1) / np.pi) * _reference_ring_sum(grid, grid.weights * ratio(grid.xi), 2 * j)
+        assert symbols.reconstruct_operator(ratio, j).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("j", [100, 200])
+def test_resolution_of_unity_bytes_match_reference_ring_sum(j):
+    grid = sphere_grid(j)
+    want = ((2 * j + 1) / np.pi) * _reference_ring_sum(grid, grid.ring_weights, 2 * j)
+    assert coherent.resolution_of_unity(j).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("two_j", [200, 400])
+@pytest.mark.parametrize("n_azimuthal", [3, 5])
+def test_ring_sum_matches_unflushed_direct_sum_at_large_spin(two_j, n_azimuthal):
+    # the direct sum uses every amplitude, however small; the ring sum drops
+    # those below 2**-511 and forms its products in blocks (dim > 256 at 2j = 400).
+    # On these rings e^{Re xi}/(1+|xi|^2) reaches 1e64 (2j = 200) and 1e135 (2j = 400).
+    grid = sphere_grid(two_j / 2, n_azimuthal=n_azimuthal)
+    xi = grid.xi
+    vecs = kernels.coherent_amplitudes(xi, two_j)
+    for sym in (lambda xi: (1.0 + 0.5 * xi.real - 0.25 * xi.imag) / np.sqrt(1.0 + np.abs(xi) ** 2),
+                lambda xi: np.exp(xi.real) / (1.0 + np.abs(xi) ** 2)):
+        coeff = grid.weights * sym(xi)
+        direct = vecs.T @ (coeff[:, None] * vecs.conj())
+        ring = kernels.ring_projector_sum(grid, coeff, two_j)
+        assert np.max(np.abs(ring - direct)) <= 4 * np.finfo(float).eps * np.sum(np.abs(coeff))
+
+
 def test_operators_independent_of_blas_thread_count():
     # the azimuth-dependent symbol runs reconstruct_operator over every diagonal, and
     # sphere_grid(1000) runs the polar rule's contractions at n = 2002
