@@ -13,19 +13,24 @@ which tends to the classical sinusoid A cos(omega tau + phi' + arg xi)
 as m grows.  clock_symbol_q1 is the one form of this symbol, for the
 printed trace and the operator alike: it broadcasts xi, tau and phi'
 against each other, and every element has the bits of a call with scalar
-arguments.  For that it takes arg xi from math.atan2, label by label;
-np.arctan2 differs from it in the last ulp on some labels.  Where
-|xi|^2 overflows, |xi| / sqrt(1+|xi|^2) comes from the antipodal label
-1/xi, by the rule spin_symbols_closed_form uses too.
+arguments.  For that it takes arg xi from math.atan2, label by label, in
+blocks of a few thousand labels; np.arctan2 differs from it in the last
+ulp on some labels.  Where |xi|^2 overflows, |xi| / sqrt(1+|xi|^2) comes
+from the antipodal label 1/xi, by the rule spin_symbols_closed_form uses
+too.
 
 clock_operator quantizes this symbol exactly, by a Beta function
-(Berezin, Commun. Math. Phys. 40, 153, 1975), and needs no grid.
+(Berezin, Commun. Math. Phys. 40, 153, 1975), and needs no grid.  Its 2j
+magnitudes depend on j alone: a bounded LRU cache keeps them per 2j as a
+read-only array, so each call only applies the phase e^{i(omega tau+phi')}
+and writes the two off-diagonals of a new matrix.
 
 Correlation functions between spin coherent states measure how sharp the
 clock is: a Gaussian of width 1/(2j) in the amplitude angle and
 2j/(E1 E2) in the relative phase.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -74,7 +79,25 @@ def gamma_half_ratio(m: int) -> float:
     return math.exp(math.lgamma(m + 2.5) - math.lgamma(m + 2.0))
 
 
-_atan2 = np.vectorize(math.atan2, otypes=[float])
+# math.atan2 per element, returning an object array of Python floats
+_atan2_elementwise = np.frompyfunc(math.atan2, 2, 1)
+# elements per block of _atan2
+_ATAN2_BLOCK = 4096
+
+
+def _atan2(y, x) -> np.ndarray:
+    """math.atan2 elementwise over y and x broadcast together, bit for bit.
+
+    Runs in blocks of _ATAN2_BLOCK elements, so besides the float result it
+    holds the Python floats of one block, not of every element.
+    """
+    it = np.nditer([y, x, None], flags=["external_loop", "buffered", "zerosize_ok"],
+                   op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
+                   op_dtypes=[np.float64] * 3, buffersize=_ATAN2_BLOCK)
+    with it:
+        for y_block, x_block, out in it:
+            out[...] = _atan2_elementwise(y_block, x_block)
+        return it.operands[2]
 
 
 def clock_symbol_q1(xi, m: int, tau, phi_prime=0.0, omega: float = 1.0):
@@ -164,14 +187,23 @@ def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
     C[n+1, n] its conjugate and every other entry exactly 0.
     """
     two_j = _check_two_j(j)
+    dim = two_j + 1
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    # flat views: entry (n, n') of out is element n * dim + n'
+    above, below = out.reshape(-1)[1::dim + 1], out.reshape(-1)[dim::dim + 1]
+    above[:] = _clock_magnitudes(two_j) * np.exp(1j * (omega * tau + phi_prime))
+    below[:] = above.conj()
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _clock_magnitudes(two_j: int) -> np.ndarray:
+    """|C[n, n+1]| of clock_operator for n = 0..2j-1; cached per 2j, read-only."""
     log_beta = np.array([math.lgamma(k + 2.0) + math.lgamma(two_j - k + 0.5)
                          for k in range(two_j)]) - math.lgamma(two_j + 2.5)
     half = kernels._log_binomial_halves(two_j)
-    entries = (two_j + 1) * gamma_half_ratio(two_j) * np.exp(half[:-1] + half[1:] + log_beta)
-    n = np.arange(two_j)
-    out = np.zeros((two_j + 1, two_j + 1), dtype=np.complex128)
-    out[n, n + 1] = entries * np.exp(1j * (omega * tau + phi_prime))
-    out[n + 1, n] = out[n, n + 1].conj()
+    out = (two_j + 1) * gamma_half_ratio(two_j) * np.exp(half[:-1] + half[1:] + log_beta)
+    out.flags.writeable = False
     return out
 
 
@@ -237,10 +269,18 @@ def phase_correlation(xi_mag: float, j: float,
     energy is shared.
     """
     two_j = _check_two_j(j)
+    if j < 0.5:
+        raise ValueError("need j >= 1/2")
     if xi_mag <= 0:
         raise ValueError("|xi| = 0 carries no phase information")
+    try:
+        t = xi_mag**2
+    except OverflowError:
+        t = math.inf
+    # at |xi|^2 = 0 or inf one oscillator holds every quantum and E1 E2 = 0
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"|xi|^2 leaves the float range at xi_mag={xi_mag!r}")
     dphi_sweep = np.asarray(dphi_sweep, dtype=float)
-    t = xi_mag**2
     ov = (np.abs(1.0 + t * np.exp(1j * dphi_sweep)) / (1.0 + t)) ** two_j
     e1 = two_j * t / (1.0 + t)
     e2 = two_j / (1.0 + t)

@@ -130,7 +130,9 @@ def resolution_of_unity(j: float, grid: SphereGrid | None = None) -> np.ndarray:
     if grid is None:
         grid = sphere_grid(j)
     # the coefficients are the ring weights, one per ring: column 0 only
-    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.ring_weights, two_j)
+    out = kernels.ring_projector_sum(grid, grid.ring_weights, two_j)
+    out *= (two_j + 1) / np.pi
+    return out
 
 
 def radial_weight(r, m: int):

@@ -36,8 +36,17 @@ amplitudes is at least 2**-1022, the smallest normal double.  Each
 dropped term is below 2**-511 |c_k|, so no entry moves by more than
 2**-511 sum_k |c_k|, far below the sum's own rounding bound
 eps sum_k |c_k|.
+
+Every operator at spin j on one grid reads the same ring amplitudes, so
+each process computes them once: a bounded LRU cache keeps the flushed
+(2j+1, n_polar) table per ring radii (their bytes, so no grid reads
+another grid's table) and 2j, 8 (2j+1) n_polar bytes each (82 KB at
+j = 50, 32 MB at j = 1000 on the default grids), and another keeps the
+log binomials per 2j.  Both hand out read-only arrays; each operator is a
+new writable matrix.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -50,14 +59,20 @@ _FLUSH_BELOW = 2.0 ** -511
 _BLOCK_ROWS = 256
 
 
+@functools.lru_cache(maxsize=16)
 def _log_binomial_halves(two_j: int) -> np.ndarray:
-    """0.5 * log C(2j, n) for n = 0..2j."""
+    """0.5 * log C(2j, n) for n = 0..2j.
+
+    Cached per 2j; the array is read-only.
+    """
     lg = math.lgamma(two_j + 1)
-    return 0.5 * (
+    out = 0.5 * (
         lg
         - np.array([math.lgamma(k + 1) for k in range(two_j + 1)])
         - np.array([math.lgamma(two_j - k + 1) for k in range(two_j + 1)])
     )
+    out.flags.writeable = False
+    return out
 
 
 def log1p_square(a, a_sq):
@@ -100,6 +115,21 @@ def coherent_amplitudes(xi, two_j: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _ring_amplitudes(rho: bytes, two_j: int) -> np.ndarray:
+    """Ring amplitudes a_n(rho_p) as a (2j+1, n_polar) array, those below 2**-511 set to 0.
+
+    rho holds the float64 bytes of the ring radii.  Every ring starts at
+    azimuth 0, where the amplitudes are real (rho > 0 at every
+    Gauss-Legendre node).  Cached per radii and 2j; the array is read-only.
+    """
+    amps = np.exp(_log_magnitudes(np.frombuffer(rho), two_j)).T.copy()
+    # a_n <= 1, so a product of two kept amplitudes is at least 2**-1022, never subnormal
+    amps[amps < _FLUSH_BELOW] = 0.0
+    amps.flags.writeable = False
+    return amps
+
+
 def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     """sum_k coeff[k] |xi_k><xi_k| over the nodes of grid, a dense (2j+1, 2j+1) matrix.
 
@@ -134,11 +164,7 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     cols[:, 1] = spectrum.imag.T[q]
     np.negative(cols[:, 1], out=cols[:, 1], where=mirrored[:, None])
     del spectrum
-    # ring amplitudes a_n(rho_p) with rows n: every ring starts at azimuth 0,
-    # where the amplitudes are real (rho > 0 at every Gauss-Legendre node)
-    amps = np.exp(_log_magnitudes(grid.rho, two_j)).T.copy()
-    # a_n <= 1, so a product of two kept amplitudes is at least 2**-1022, never subnormal
-    amps[amps < _FLUSH_BELOW] = 0.0
+    amps = _ring_amplitudes(np.asarray(grid.rho, dtype=np.float64).tobytes(), two_j)
     product = np.empty((min(dim, _BLOCK_ROWS), n_polar))
     out = np.zeros((dim, dim), dtype=np.complex128)
     # flat views: entry (n, n') of out is element n * dim + n' of each

@@ -113,8 +113,12 @@ def reconstruct_operator(sym: ReducedLowerSymbol, j: float,
         grid = sphere_grid(j)
     xi = grid.xi
     vals = np.broadcast_to(sym(xi), xi.shape)
+    coeff = vals.reshape(len(grid.rho), -1) * grid.ring_weights[:, None]
+    del xi, vals
     # sym is a black box, so every ring Fourier column may be non-zero
-    return ((two_j + 1) / np.pi) * kernels.ring_projector_sum(grid, grid.weights * vals, two_j)
+    out = kernels.ring_projector_sum(grid, coeff, two_j)
+    out *= (two_j + 1) / np.pi
+    return out
 
 
 def q2_position_symbol(xi, r, theta, omega: float = 1.0, hbar: float = 1.0):

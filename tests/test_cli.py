@@ -227,6 +227,26 @@ def test_figure2_width(tmp_path, capsys):
     assert float(vals["sigma2_fit"]) == pytest.approx(0.1, rel=0.01)
 
 
+def test_figure2_matches_baseline(tmp_path, capsys):
+    out_file = tmp_path / "fig2.csv"
+    code = main(["figure", "2", "--j", "50", "--xi-mag", "1", "--out", str(out_file)])
+    capsys.readouterr()
+    assert code == 0
+    assert out_file.read_bytes() == (DATA / "figure2_j50_baseline.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["figure", "2", "--j", "0"], "need j >= 1/2"),
+    (["figure", "2", "--j", "5", "--xi-mag", "1e200"], "float range"),
+    (["figure", "2", "--j", "5", "--xi-mag", "1e-200"], "float range"),
+])
+def test_figure2_input_it_cannot_compute_is_an_error(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_figure_chart_pole_guidance(capsys):
     code, _, err = run_cli(["figure", "1", "--j", "10",
                             "--theta", repr(math.pi / 2)], capsys)

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from spinclock import coherent, kernels, symbols
-from spinclock.grids import sphere_grid
+from spinclock import clock, coherent, kernels, symbols
+from spinclock.grids import SphereGrid, sphere_grid
 
 
 def test_amplitudes_match_closed_form_batch():
@@ -127,13 +127,17 @@ def test_ring_sum_matches_unflushed_direct_sum_at_large_spin(two_j, n_azimuthal)
 def test_operators_independent_of_blas_thread_count():
     # the azimuth-dependent symbol runs reconstruct_operator over every diagonal, and
     # sphere_grid(1000) runs the polar rule's contractions at n = 2002
+    # each operator is built twice: the second (warm) call reads the cached amplitudes
     code = ("import hashlib\n"
             "import numpy as np\n"
             "from spinclock import clock, coherent, grids, symbols\n"
             "sym = lambda xi: np.exp(xi.real) / (1 + np.abs(xi) ** 2)\n"
             "grid = grids.sphere_grid(1000)\n"
-            "for op in (coherent.resolution_of_unity(100), clock.clock_operator(100, 0.7),\n"
-            "           symbols.reconstruct_operator(sym, 100), grid.rho, grid.ring_weights):\n"
+            "ops = (lambda: coherent.resolution_of_unity(100),\n"
+            "       lambda: clock.clock_operator(100, 0.7),\n"
+            "       lambda: symbols.reconstruct_operator(sym, 100))\n"
+            "cold = [op() for op in ops]\n"
+            "for op in (*cold, grid.rho, grid.ring_weights, *(op() for op in ops)):\n"
             "    print(hashlib.sha256(op.tobytes()).hexdigest())\n")
     digests = []
     for threads in ("1", "4"):
@@ -142,3 +146,80 @@ def test_operators_independent_of_blas_thread_count():
         digests.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                       capture_output=True, text=True).stdout)
     assert digests[0] == digests[1]
+    lines = digests[0].splitlines()
+    assert len(lines) == 8 and lines[:3] == lines[5:]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends to the returned list."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_second_operator_at_the_same_spin_computes_no_amplitudes_or_lgamma(monkeypatch):
+    builds = (lambda: coherent.resolution_of_unity(30), lambda: clock.clock_operator(30, 0.4),
+              lambda: symbols.reconstruct_operator(np.abs, 30))
+    for build in builds:
+        build()
+    tables = _count_calls(monkeypatch, kernels, "_log_magnitudes")
+    lgammas = _count_calls(monkeypatch, math, "lgamma")
+    for build in builds:
+        build()
+    assert tables == [] and lgammas == []
+    # the counters see what the kernels call
+    kernels.coherent_amplitudes(0.5, 7)
+    clock.gamma_half_ratio(7)
+    assert len(tables) == 1 and len(lgammas) == 2
+
+
+def test_cached_arrays_are_read_only():
+    grid = sphere_grid(4.5)
+    for a in (kernels._ring_amplitudes(grid.rho.tobytes(), 9), kernels._log_binomial_halves(9),
+              clock._clock_magnitudes(9)):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_returned_operators_are_writable_and_independent_of_each_other():
+    sym = lambda xi: np.exp(xi.real) / (1.0 + np.abs(xi) ** 2)
+    for build in (lambda: coherent.resolution_of_unity(6.5),
+                  lambda: clock.clock_operator(6.5, 0.4),
+                  lambda: symbols.reconstruct_operator(sym, 6.5)):
+        first = build()
+        want = first.tobytes()
+        assert first.flags.writeable
+        first[...] = 7.0
+        assert build().tobytes() == want
+
+
+def test_grid_with_other_radii_reads_its_own_amplitudes():
+    # the default grid, one with other n_polar, and a hand-built grid with the
+    # default radii scaled: each operator is the reference sum on its own grid
+    j, sym = 6, lambda xi: (1.0 + xi.real) / (1.0 + np.abs(xi) ** 2)
+    default = sphere_grid(j)
+    grids = (default, sphere_grid(j, n_polar=5),
+             SphereGrid(rho=1.5 * default.rho, ring_weights=default.ring_weights,
+                        n_azimuthal=default.n_azimuthal))
+    for _ in range(2):
+        misses = kernels._ring_amplitudes.cache_info().misses
+        for grid in grids:
+            want = ((2 * j + 1) / np.pi) * _reference_ring_sum(grid, grid.weights * sym(grid.xi),
+                                                               2 * j)
+            assert symbols.reconstruct_operator(sym, j, grid).tobytes() == want.tobytes()
+    # the second round found all three tables cached
+    assert kernels._ring_amplitudes.cache_info().misses == misses
+
+
+def test_ring_amplitude_cache_stays_within_its_size():
+    size = kernels._ring_amplitudes.cache_info().maxsize
+    assert size is not None
+    for n_polar in range(2, size + 5):
+        coherent.resolution_of_unity(2.5, sphere_grid(2.5, n_polar=n_polar))
+    assert kernels._ring_amplitudes.cache_info().currsize == size
