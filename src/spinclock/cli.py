@@ -148,7 +148,9 @@ def array_bytes(j: float, matrices: int, labels: int = 0) -> float:
 
 def grid_bytes(n_polar: float, n_azimuthal: float) -> float:
     """Estimated peak bytes of reconstruct_operator on an n_polar x n_azimuthal grid: 4 n_polar^2
-    for the polar rule and 136 per node (tracemalloc, clock symbol on 3248 x 402 nodes)."""
+    for the polar rule and 136 per node.  The clock symbol on 3248 x 402 nodes (j = 200)
+    measures 65 per node with tracemalloc, its result included, since it runs in blocks;
+    lowering 136 would change which spins verify admits."""
     n_polar = float(min(n_polar, 1e300))  # a larger int has no float; its bytes are inf
     return n_polar * (4.0 * n_polar + 136.0 * n_azimuthal)
 
@@ -311,8 +313,9 @@ def cmd_symbols(args) -> int:
 
 def cmd_verify(args) -> int:
     j = _spin(args, default=5.0)
-    # reconstruct_operator peaks at 14.7 matrices' worth on the default grid (tracemalloc,
-    # j = 200); the clock check's 8 (2j+6) x (2j+2) grid and a --quad-order grid add theirs
+    # tracemalloc at j = 200: run_checks holds 6.1 matrices' worth besides the clock check's
+    # quantization on 8 (2j+6) x (2j+2) nodes (65 bytes per node), and reconstruct_operator
+    # on the default grid peaks at 4.0; the estimate keeps 15 matrices and 136 bytes per node
     n = args.quad_order
     need = array_bytes(j, matrices=15) + grid_bytes(8 * (2 * j + 6), 2 * j + 2) \
         + grid_bytes(n or 0, 4 * j + 4)

@@ -17,17 +17,27 @@ with real a_n, so entry (n, n') of the sum is
 and the inner sum is column (n' - n) mod n_azimuthal of the azimuthal
 FFT of c on that ring.  Coefficients given one per ring reach only
 column 0, so no FFT runs and only the diagonals d = 0 mod n_azimuthal
-are computed, the rest being exactly zero.  For real coefficients one
-np.fft.rfft per ring gives every column, and the kernel computes one
-triangle and mirrors it as its conjugate, so the result is exactly
-Hermitian.  Each computed diagonal d costs a weighted sum over the rings
-of a_n a_{n-d}: per-node coefficients cost O(n_polar (n_az log n_az +
-dim^2)) against O(npts dim^2) for the dense sum over the nodes, per-ring
-ones O(n_polar dim) if n_az > 2j.  The temporaries are n_polar x n_az
-and n_polar x dim, never npts x dim: the spectrum columns the diagonals
-read are gathered once into a (diagonals, 2, n_polar) real array, and the
-products a_n a_{n-d} are formed in blocks of at most 256 rows in one
-reused buffer.
+are computed, each as one real einsum over the rings written straight
+into the result, the rest being exactly zero.  For real per-node
+coefficients one np.fft.rfft per ring gives every column, and the kernel
+computes one triangle and mirrors it as its conjugate, so the result is
+exactly Hermitian.  Each computed diagonal d costs a weighted sum over
+the rings of a_n a_{n-d}: per-node coefficients cost O(n_polar (n_az log
+n_az + dim^2)) against O(npts dim^2) for the dense sum over the nodes,
+per-ring ones O(n_polar dim) if n_az > 2j.
+
+The temporaries are n_polar x n_az and n_polar x dim, never npts x dim:
+the spectrum columns the diagonals read are gathered once into a
+(dim, 2, n_polar) real array, and the products a_n a_{n-d} are formed in
+blocks of at most 256 rows in one reused buffer.  Each block's einsum
+writes its sums straight into a packed triangle: Re and Im of entries
+(i, i+d), diagonal after diagonal, dim (dim+1) floats held in the first
+half of the result's own buffer.  After the last diagonal one mirror
+writes a copy of the packed triangle, and its conjugate, into the
+result: the main diagonal through a strided view, each off-diagonal
+triangle through one boolean-masked view of the result reshaped to
+(dim-1, dim+1), which lists its entries in the packed order.  No
+diagonal allocates or writes anything of its own.
 
 The sum does no subnormal arithmetic on the amplitudes, which costs a
 microcode assist per operation on common x86 cores.  Ring amplitudes
@@ -135,9 +145,13 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
 
     coeff holds one value per grid node in the grid's order, or one value
     per ring when it is constant on each ring; then only the diagonals
-    d = 0 mod n_azimuthal are computed and the rest are exactly zero, so a
-    grid with n_azimuthal <= 2j still gives the aliased quadrature sum.
-    Real coefficients give an exactly Hermitian result; complex ones are
+    d = 0 mod n_azimuthal are computed, each as one real sum over the
+    rings, and the rest are exactly zero, so a grid with n_azimuthal <= 2j
+    still gives the aliased quadrature sum.  Per-node coefficients fill
+    every diagonal: each block's sums go straight into a packed upper
+    triangle, and one mirror after the last diagonal writes it and its
+    conjugate into the result (see the module docstring).  Real
+    coefficients give an exactly Hermitian result; complex ones are
     summed as S(Re coeff) + i S(Im coeff).  Ring amplitudes below 2**-511
     are dropped, which moves no entry by more than 2**-511 sum_k |coeff[k]|
     (see the module docstring).  The reductions over rings run in einsum,
@@ -150,36 +164,84 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
                 + 1j * ring_projector_sum(grid, coeff.imag, two_j))
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
     coeff = coeff.reshape(n_polar, -1)
-    per_ring = coeff.shape[1] == 1
-    diagonals = range(0, dim, n_az if per_ring else 1)
+    amps = _ring_amplitudes(np.asarray(grid.rho, dtype=np.float64).tobytes(), two_j)
+    if coeff.shape[1] == 1:
+        return _ring_constant_sum(amps, n_az * coeff[:, 0], n_az)
     # spectrum[p, q] = sum_a coeff[p, a] e^{-2 pi i q a / n_az} for q <= n_az // 2;
     # column n_az - q is its conjugate because coeff is real
-    spectrum = n_az * coeff if per_ring else np.fft.rfft(coeff, axis=1)
-    # cols[i] holds Re and Im over the rings of column q = d mod n_az, for d = diagonals[i]
-    q = np.arange(0, dim, diagonals.step) % n_az
+    spectrum = np.fft.rfft(coeff, axis=1)
+    # cols[d] holds Re and Im over the rings of column q = d mod n_az
+    q = np.arange(dim) % n_az
     mirrored = q > n_az // 2
     q[mirrored] = n_az - q[mirrored]
-    cols = np.empty((len(diagonals), 2, n_polar))
+    cols = np.empty((dim, 2, n_polar))
     cols[:, 0] = spectrum.real.T[q]
     cols[:, 1] = spectrum.imag.T[q]
     np.negative(cols[:, 1], out=cols[:, 1], where=mirrored[:, None])
     del spectrum
-    amps = _ring_amplitudes(np.asarray(grid.rho, dtype=np.float64).tobytes(), two_j)
+    product = np.empty((min(dim, _BLOCK_ROWS), n_polar))
+    out = np.empty((dim, dim), dtype=np.complex128)
+    # packed[:, k] holds Re and Im of entry (i, i+d), k = offset_d + i, diagonal after
+    # diagonal, in the first dim (dim+1) floats of the result's own buffer, so the loop
+    # holds no more than cols, product and the result.  A result allocated after the loop
+    # instead sat on top of the heap, and freeing it later trimmed the heap (about 0.2 ms)
+    packed = out.reshape(-1).view(np.float64)[:dim * (dim + 1)].reshape(2, -1)
+    offset = 0
+    for d in range(dim):
+        for start in range(0, dim - d, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, dim - d)
+            # entries (n-d, n) carry e^{-i d phi}: sum_p a_{n-d} a_n cols[d, :, p]
+            np.einsum("nr,kr->kn", np.multiply(amps[d + start:d + stop], amps[start:stop],
+                                               out=product[:stop - start]),
+                      cols[d], out=packed[:, offset + start:offset + stop])
+        offset += dim - d
+    del cols, product
+    _mirror_packed(packed, out)
+    return out
+
+
+def _ring_constant_sum(amps: np.ndarray, col: np.ndarray, n_az: int) -> np.ndarray:
+    """The ring sum of coefficients constant on each ring, col[p] being their sum on ring p.
+
+    Only the diagonals d = 0 mod n_az are non-zero, and they are real: entry
+    (i, i+d) and entry (i+d, i) are sum_p a_{i+d} a_i col[p].  The imaginary
+    parts are +0.0, but -0.0 below the main diagonal on those diagonals, the
+    negated +0.0 of a real sum's conjugate.
+    """
+    dim, n_polar = amps.shape
     product = np.empty((min(dim, _BLOCK_ROWS), n_polar))
     out = np.zeros((dim, dim), dtype=np.complex128)
-    # flat views: entry (n, n') of out is element n * dim + n' of each
     out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
-    for d, col in zip(diagonals, cols):
-        # entry i of each: (i, i+d) above the diagonal, (i+d, i) below it
-        re_above, im_above = out_re[d:(dim - d) * dim:dim + 1], out_im[d:(dim - d) * dim:dim + 1]
-        re_below, im_below = out_re[d * dim::dim + 1], out_im[d * dim::dim + 1]
+    vals = np.empty(dim)
+    for d in range(0, dim, n_az):
         for start in range(0, dim - d, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, dim - d)
             block = np.multiply(amps[d + start:d + stop], amps[start:stop],
                                 out=product[:stop - start])
-            # entries (n-d, n) carry e^{-i d phi}: sum_p a_{n-d} a_n col[:, p]
-            upper = np.einsum("nr,kr->kn", block, col)
-            re_below[start:stop] = re_above[start:stop] = upper[0]
-            im_below[start:stop] = -upper[1]
-            im_above[start:stop] = upper[1]
+            np.einsum("nr,r->n", block, col, out=vals[start:stop])
+        # entry i of each: (i, i+d) above the diagonal, (i+d, i) below it
+        out_re[d:(dim - d) * dim:dim + 1] = out_re[d * dim::dim + 1] = vals[:dim - d]
+        if d:
+            out_im[d * dim::dim + 1] = -0.0
     return out
+
+
+def _mirror_packed(packed: np.ndarray, out: np.ndarray):
+    """Write the packed upper triangle and its conjugate into the (dim, dim) matrix out.
+
+    packed[:, k] holds Re and Im of entry (i, i+d) at k = d dim - d (d-1)/2 + i;
+    it may lie in out's own buffer, since it is read into one complex copy
+    before out is written.  The main diagonal is a strided view.  Reshaped
+    to (dim-1, dim+1), the first dim^2 - 1 entries of out hold entry
+    (i, i+d) at [i, d] and entry (i+d, i) at [i+d-1, dim+1-d], so for d >= 1
+    each triangle is one boolean-masked view that lists its entries in the
+    packed order.
+    """
+    dim = len(out)
+    vals = np.empty(packed.shape[1], dtype=np.complex128)
+    vals.real, vals.imag = packed
+    out.reshape(-1)[::dim + 1] = vals[:dim]
+    skew = out.reshape(-1)[:dim * dim - 1].reshape(dim - 1, dim + 1)
+    tri = np.tri(dim - 1, dtype=bool)
+    skew[:, 1:dim].T[tri[::-1]] = vals[dim:]
+    skew[:, dim:1:-1].T[tri.T] = np.conjugate(vals[dim:], out=vals[dim:])

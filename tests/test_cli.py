@@ -408,6 +408,22 @@ def test_array_budget_admits_documented_uses():
     assert cli.array_bytes(100, 15) + cli.grid_bytes(8 * 206, 202) < 100 * 2**20
 
 
+def test_verify_budget_covers_its_measured_peak():
+    # a cold run_checks in a fresh process; measured 3.5 MB at j = 30 and 26.9 MB at
+    # j = 100, against estimates of 6.5 and 65.8 MB
+    code = ("import tracemalloc\n"
+            "from spinclock import verify\n"
+            "for j in (30, 100):\n"
+            "    tracemalloc.start()\n"
+            "    verify.run_checks(j)\n"
+            "    print(tracemalloc.get_traced_memory()[1])\n"
+            "    tracemalloc.stop()\n")
+    peaks = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           text=True).stdout.split()
+    for j, peak in zip((30, 100), map(int, peaks)):
+        assert cli.array_bytes(j, 15) + cli.grid_bytes(8 * (2 * j + 6), 2 * j + 2) >= peak
+
+
 def _refuse_arrays(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built an array before the budget check")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,65 @@ def test_resolution_of_unity_bytes_match_reference_ring_sum(j):
     grid = sphere_grid(j)
     want = ((2 * j + 1) / np.pi) * _reference_ring_sum(grid, grid.ring_weights, 2 * j)
     assert coherent.resolution_of_unity(j).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_azimuthal", [1, 2, 3, 5, 8, None])
+@pytest.mark.parametrize("n_polar", [None, 3])
+def test_ring_sum_bytes_match_reference_ring_sum_on_aliased_grids(n_polar, n_azimuthal):
+    # per-ring coefficients reach the diagonals d = 0 mod n_azimuthal, per-node ones every
+    # diagonal; the bytes include the signed zeros of the reference's mirrored writes
+    rng = np.random.default_rng(14)
+    for two_j in (0, 1, 2, 3, 6, 9, 20):
+        grid = sphere_grid(two_j / 2, n_polar=n_polar, n_azimuthal=n_azimuthal)
+        per_ring = grid.ring_weights * rng.uniform(-1.0, 2.0, len(grid.rho))
+        per_node = grid.weights * rng.normal(size=len(grid))
+        for coeff in (per_ring, per_node):
+            want = _reference_ring_sum(grid, coeff, two_j)
+            assert kernels.ring_projector_sum(grid, coeff, two_j).tobytes() == want.tobytes()
+        imag = grid.weights * rng.normal(size=len(grid))
+        want = (_reference_ring_sum(grid, per_node, two_j)
+                + 1j * _reference_ring_sum(grid, imag, two_j))
+        got = kernels.ring_projector_sum(grid, per_node + 1j * imag, two_j)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_ring_constant_sum_writes_negative_zeros_below_the_diagonal():
+    # 2j = 6 on 2 azimuths aliases diagonals 2, 4 and 6: their imaginary parts are -0.0
+    # below the main diagonal, as the conjugate of a real sum; every other one is +0.0
+    grid = sphere_grid(3, n_azimuthal=2)
+    out = kernels.ring_projector_sum(grid, grid.ring_weights, 6)
+    row, col = np.indices(out.shape)
+    assert not np.any(out.imag)
+    assert np.array_equal(np.signbit(out.imag), (row > col) & ((row - col) % 2 == 0))
+    assert np.count_nonzero(out.real) == 7 + 2 * (5 + 3 + 1)
+
+
+def _warm_traced_peak(build) -> int:
+    """tracemalloc peak of build() after one call that fills every cache."""
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ring_sums_peak_no_higher_than_before_the_packed_triangle():
+    # tracemalloc peaks of warm calls at j = 100 in (2j+1)^2 complex matrices' worth
+    # (646416 B each).  The kernel that wrote every diagonal through four strided views
+    # peaked at 2.531 (1636257 B) for per-node coefficients alone, 1.524 (984817 B) in
+    # resolution_of_unity and 5.056 (3268352 B) in reconstruct_operator, whose peak is
+    # in the symbol's own temporaries; each bound is that figure rounded up
+    j, dim = 100, 201
+    matrix = 16 * dim * dim
+    grid = sphere_grid(j)
+    ratio = lambda xi: 0.3 + 1.2 * np.square(np.abs(xi)) / (1.0 + np.square(np.abs(xi)))
+    coeff = grid.weights * ratio(grid.xi)
+    assert _warm_traced_peak(lambda: kernels.ring_projector_sum(grid, coeff, 2 * j)) \
+        <= 2.532 * matrix
+    assert _warm_traced_peak(lambda: coherent.resolution_of_unity(j)) <= 1.524 * matrix
+    assert _warm_traced_peak(lambda: symbols.reconstruct_operator(ratio, j)) <= 5.057 * matrix
 
 
 @pytest.mark.parametrize("two_j", [200, 400])
