@@ -42,8 +42,8 @@ class ClassicalConfig:
         """Gauge-invariant phase difference phi - phi'."""
         return self.phi - self.phi_prime
 
-    def is_on_shell(self, rtol: float = ON_SHELL_RTOL) -> bool:
-        return abs(constraint_residual(self)) <= rtol * max(abs(self.E), 1.0)
+    def is_on_shell(self) -> bool:
+        return abs(constraint_residual(self)) <= ON_SHELL_RTOL * max(abs(self.E), 1.0)
 
 
 def trajectory(cfg: ClassicalConfig, tau: float) -> tuple[float, float, float, float]:

@@ -16,13 +16,18 @@ import numpy as np
 
 from . import __version__, clock, coherent, fock, symbols, verify
 from .errors import SpinclockError
+from .grids import _check_two_j
 
 USAGE_ERROR = 1
 VERIFY_FAILURE = 2
 
-# the most bytes of arrays verify or symbols may plan to hold at once;
+# the most bytes of arrays a subcommand may plan to hold at once;
 # every documented use plans under 100 MiB
 ARRAY_BUDGET = 4 * 2**30
+# bytes per sweep point of the columns, the output text and the sweep's own
+# arrays: tracemalloc measures 430-890 over every subcommand and format, the
+# most for symbols --format json (10 columns)
+SWEEP_POINT_BYTES = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,10 +91,7 @@ def _write_table(columns: dict, meta: dict, fmt: str, out: str | None):
     meta = dict(meta, version=__version__)
     meta_json = json.dumps(meta, sort_keys=True, default=str)
     if fmt == "json":
-        payload = {"meta": meta,
-                   "columns": {k: [v if not isinstance(v, float) else float(_fmt(v))
-                                   for v in vals]
-                               for k, vals in columns.items()}}
+        payload = {"meta": meta, "columns": columns}
         text = json.dumps(payload, sort_keys=True, default=str, indent=1) + "\n"
     else:
         names = list(columns)
@@ -105,13 +107,19 @@ def _sweep_grid(args, var: str, default: tuple[float, float, int] | None = None)
     """The points of --sweep, which must name the subcommand's sweep variable.
 
     Without --sweep this is linspace(*default), or None when there is no default.
+    A sweep whose columns and output text would need more than ARRAY_BUDGET is
+    refused before its points are built.
     """
     sweep = args.sweep
     if sweep is None:
         return None if default is None else np.linspace(*default)
     if sweep[0] != var:
         raise SpinclockError(f"{args.command} sweeps over {var}, not {sweep[0]!r}")
-    return np.linspace(sweep[1], sweep[2], sweep[3])
+    count = sweep[3]
+    # a count past 1e300 has no float; its bytes are inf, as in grid_bytes
+    _check_array_bytes(f"a sweep of {count} points",
+                       SWEEP_POINT_BYTES * (count if count < 1e300 else math.inf))
+    return np.linspace(sweep[1], sweep[2], count)
 
 
 def _spin(args, default: float | None = None) -> float:
@@ -132,7 +140,7 @@ def _spin(args, default: float | None = None) -> float:
         return default
     flag, value = given[0]
     j = float(value) if flag == "--j" else value / 2.0
-    coherent._check_two_j(j)
+    _check_two_j(j)
     return j
 
 
@@ -142,7 +150,7 @@ def array_bytes(j: float, matrices: int, labels: int = 0) -> float:
     amplitude batch over `labels` labels and its temporaries.  A float, so
     that an absurd spin gives inf instead of an int too large to print.
     """
-    dim = float(round(2 * j) + 1)
+    dim = 2.0 * j + 1.0
     return 16.0 * dim * (matrices * dim + 4 * labels)
 
 
@@ -155,10 +163,11 @@ def grid_bytes(n_polar: float, n_azimuthal: float) -> float:
     return n_polar * (4.0 * n_polar + 136.0 * n_azimuthal)
 
 
-def _check_array_bytes(j: float, need: float, detail: str = ""):
-    """Refuse, before any array is built, a spin whose arrays need more than ARRAY_BUDGET."""
+def _check_array_bytes(what: str, need: float):
+    """Refuse, before any array is built, a spin or sweep whose arrays need more than
+    ARRAY_BUDGET; `what` names it in the message."""
     if need > ARRAY_BUDGET:
-        raise SpinclockError(f"spin j={j:g}{detail} needs about {need / 2**30:.1f} GiB of "
+        raise SpinclockError(f"{what} needs about {need / 2**30:.1f} GiB of "
                              f"arrays, over the {ARRAY_BUDGET / 2**30:g} GiB budget")
 
 
@@ -276,7 +285,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_clock_trace(args) -> int:
-    m = int(round(2 * _spin(args)))
+    m = _check_two_j(_spin(args))
     xi, omega, phi_prime = args.xi, args.omega, args.phi_prime
     taus = _sweep_grid(args, "tau", (0.0, 4 * math.pi, 201))
     quantum = clock.clock_symbol_q1(xi, m, taus, phi_prime, omega)
@@ -297,16 +306,17 @@ def cmd_clock_trace(args) -> int:
 
 def cmd_symbols(args) -> int:
     j = _spin(args)
-    count = 61 if args.sweep is None else args.sweep[3]
-    # the spin matrices peak at 5.5 matrices' worth (tracemalloc, j = 200)
-    _check_array_bytes(j, array_bytes(j, matrices=6, labels=count))
-    xis = _sweep_grid(args, "xi", (0.0, 3.0, count)).astype(complex)
+    # the spin matrices peak at 5.5 matrices' worth (tracemalloc, j = 200); the
+    # amplitude batch over the labels is checked once their count is known
+    _check_array_bytes(f"spin j={j:g}", array_bytes(j, matrices=6))
+    xis = _sweep_grid(args, "xi", (0.0, 3.0, 61)).astype(complex)
+    _check_array_bytes(f"spin j={j:g}", array_bytes(j, matrices=6, labels=len(xis)))
     cols = {"xi_re": list(xis.real), "xi_im": list(xis.imag)}
     cols.update({f"s{k}_closed": list(s)
                  for k, s in enumerate(symbols.spin_symbols_closed_form(xis, j), 1)})
     # at j = 0 the spin matrices are 1 x 1 zeros, so the upper symbols are 0
     cols.update({f"s{k}_upper": list(symbols.upper_symbol(mat, xis, j).real)
-                 for k, mat in enumerate(fock.spin_operators(int(round(2 * j))), 1)})
+                 for k, mat in enumerate(fock.spin_operators(_check_two_j(j)), 1)})
     _write_table(cols, _meta(args, command="symbols", j=j), args.format, args.out)
     return 0
 
@@ -319,7 +329,7 @@ def cmd_verify(args) -> int:
     n = args.quad_order
     need = array_bytes(j, matrices=15) + grid_bytes(8 * (2 * j + 6), 2 * j + 2) \
         + grid_bytes(n or 0, 4 * j + 4)
-    _check_array_bytes(j, need, "" if n is None else f" with --quad-order {n}")
+    _check_array_bytes(f"spin j={j:g}" + ("" if n is None else f" with --quad-order {n}"), need)
     results = verify.run_checks(j=j, seed=args.seed, quad_order=args.quad_order)
     all_passed = all(r.passed for r in results)
     meta = _meta(args, command="verify", j=j)
@@ -327,7 +337,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         payload = {"meta": dict(meta, version=__version__),
                    "checks": [{"name": r.name, "passed": r.passed,
-                               "measured": float(_fmt(r.measured)), "tol": r.tol}
+                               "measured": r.measured, "tol": r.tol}
                               for r in results],
                    "all_passed": all_passed}
         _write(json.dumps(payload, sort_keys=True, indent=1) + "\n", out)

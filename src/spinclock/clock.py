@@ -32,14 +32,14 @@ clock is: a Gaussian of width 1/(2j) in the amplitude angle and
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .coherent import _antipodal_where_far, _check_two_j
+from .coherent import _antipodal_where_far
 from .errors import ChartSingularityError
-from .grids import RadialGrid, radial_grid
+from .grids import _check_two_j, radial_grid
 from .symbols import FullLowerSymbol, ReducedLowerSymbol, _radial_mean
 
 
@@ -52,20 +52,18 @@ class CorrelationTrace:
     gaussian: np.ndarray
     sigma2_fit: float
     sigma2_pred: float
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def deparameterize(sym: FullLowerSymbol, m: int, tau: float,
-                   phi_prime: float = 0.0, omega: float = 1.0,
-                   rgrid: RadialGrid | None = None) -> ReducedLowerSymbol:
+                   phi_prime: float = 0.0, omega: float = 1.0) -> ReducedLowerSymbol:
     """Condition a full lower symbol on the clock slice theta = omega*tau + phi'.
 
     Returns the reduced symbol xi -> int sym(xi, r, theta_slice) against
-    the normalized radial weight r^{m+1} e^{-r} / (m+1)!; it takes a
-    scalar or an array of xi.
+    the normalized radial weight r^{m+1} e^{-r} / (m+1)!, integrated by the
+    rule radial_grid(m); it takes a scalar or an array of xi.
     """
-    if rgrid is None or rgrid.m != m:
-        rgrid = radial_grid(m)
+    rgrid = radial_grid(m)
     theta = np.array([math.fmod(omega * tau + phi_prime, 2.0 * math.pi)])
 
     def at_slice(xi):
@@ -207,12 +205,11 @@ def _clock_magnitudes(two_j: int) -> np.ndarray:
     return out
 
 
-def fit_gaussian_width(x: np.ndarray, y: np.ndarray,
-                       floor: float = math.exp(-2.0)) -> tuple[float, np.ndarray]:
+def fit_gaussian_width(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Width of an approximately Gaussian peak from a log-polynomial fit.
 
     Fits log(y) by a quartic polynomial (centered on the peak sample) on
-    the window y > floor * max(y) and reads sigma^2 = -1/(2 c2) from the
+    the window y > e^{-2} max(y) and reads sigma^2 = -1/(2 c2) from the
     quadratic coefficient.  The quartic terms absorb the leading
     non-Gaussian correction, which a plain quadratic fit does not.
     Returns (sigma^2, fitted curve over all of x).
@@ -220,7 +217,7 @@ def fit_gaussian_width(x: np.ndarray, y: np.ndarray,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     i_peak = int(np.argmax(y))
-    mask = y > floor * y[i_peak]
+    mask = y > math.exp(-2.0) * y[i_peak]
     if mask.sum() < 7:
         raise ValueError("sweep too coarse to resolve the peak")
     dx = x[mask] - x[i_peak]

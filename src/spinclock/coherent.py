@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ChartSingularityError
-from .grids import SphereGrid, sphere_grid
+from .grids import SphereGrid, _check_two_j, sphere_grid
 
 
 def su2_coherent(xi, j: float) -> np.ndarray:
@@ -59,11 +59,10 @@ def project_coherent(alpha: complex, beta: complex, m_prime: int
     return amps, norm_sq
 
 
-def factor_gauge_phase(alpha: complex, beta: complex, m_prime: int
-                       ) -> tuple[float, complex]:
+def factor_gauge_phase(alpha: complex, beta: complex) -> tuple[float, complex]:
     """Split a projected label into (gauge angle theta, chart coordinate xi).
 
-    The normalized projection of |alpha, beta> equals
+    The normalized projection of |alpha, beta> onto any sector m' equals
     e^{i m' theta} |xi> with theta = arg(beta) and xi = alpha/beta.
     """
     if beta == 0:
@@ -148,11 +147,3 @@ def radial_weight(r, m: int):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _check_two_j(j: float) -> int:
-    # a finite j above 9e307 doubles to inf, which no integer 2j matches
-    two_j = round(2 * j) if math.isfinite(2 * j) else -1
-    if two_j < 0 or abs(2 * j - two_j) > 1e-12:
-        raise ValueError(f"2j must be a nonnegative integer, got j={j}")
-    return two_j

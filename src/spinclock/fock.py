@@ -12,16 +12,11 @@ import numpy as np
 from .errors import NullPhysicalSubspaceError
 
 
-def physical_dimension(m_prime: int) -> int:
-    return m_prime + 1
-
-
-def constraint_eigencheck(E: float, omega: float = 1.0, hbar: float = 1.0,
-                          tol: float = 1e-9) -> int:
+def constraint_eigencheck(E: float, omega: float = 1.0, hbar: float = 1.0) -> int:
     """Select the number sector m' from the energy, E' = E/(omega hbar) - 1.
 
     Raises NullPhysicalSubspaceError (carrying the residual) when E' is
-    not within ``tol`` of an integer, in which case the projection of any
+    not within 1e-9 of an integer, in which case the projection of any
     state is null.
     """
     if E <= 0:
@@ -29,7 +24,7 @@ def constraint_eigencheck(E: float, omega: float = 1.0, hbar: float = 1.0,
     e_prime = E / (omega * hbar) - 1.0
     m_prime = round(e_prime)
     residual = abs(e_prime - m_prime)
-    if residual >= tol or m_prime < 0:
+    if residual >= 1e-9 or m_prime < 0:
         raise NullPhysicalSubspaceError(residual)
     return m_prime
 
@@ -39,8 +34,7 @@ def raising_in_sector(m_prime: int) -> np.ndarray:
 
     a'b |n, m'-n> = sqrt((n+1)(m'-n)) |n+1, m'-n-1>.
     """
-    dim = physical_dimension(m_prime)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat = np.zeros((m_prime + 1, m_prime + 1), dtype=np.complex128)
     n = np.arange(m_prime)
     mat[n + 1, n] = np.sqrt((n + 1.0) * (m_prime - n))
     return mat
@@ -99,8 +93,3 @@ def apply_full_ladder(amplitudes: np.ndarray, m_prime: int, which: str
         out[: m_prime + 1] = np.sqrt(m_prime - n + 1.0) * amplitudes
         return out, m_prime + 1
     raise ValueError(f"unknown ladder operator {which!r}")
-
-
-def number_operator(m_prime: int) -> np.ndarray:
-    """a'a + b'b on the sector: m' times the identity (structural)."""
-    return m_prime * np.eye(m_prime + 1, dtype=np.complex128)

@@ -49,6 +49,7 @@ overflow that plain generalized Gauss-Laguerre weights hit for large m.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,6 @@ class SphereGrid:
 class RadialGrid:
     """Nodes and normalized weights for integrals against r^{m+1}e^{-r}/(m+1)!."""
 
-    m: int
     nodes: np.ndarray
     weights: np.ndarray  # sum = 1
 
@@ -94,7 +94,7 @@ def sphere_grid(j: float, n_polar: int | None = None, n_azimuthal: int | None = 
     defaults (2j+2 Gauss-Legendre nodes, 4j+4 azimuth points) are exact
     for those with headroom for low-degree symbol factors.
     """
-    two_j = int(round(2 * j))
+    two_j = _check_two_j(j)
     if n_polar is None:
         n_polar = two_j + 2
     if n_azimuthal is None:
@@ -103,6 +103,15 @@ def sphere_grid(j: float, n_polar: int | None = None, n_azimuthal: int | None = 
     return SphereGrid(rho=np.sqrt((1.0 - u) / (1.0 + u)),
                       ring_weights=wu * (2.0 * np.pi / n_azimuthal) * 0.25,
                       n_azimuthal=n_azimuthal)
+
+
+def _check_two_j(j: float) -> int:
+    """The integer 2j of spin j; ValueError unless it is a nonnegative integer."""
+    # a finite j above 9e307 doubles to inf, which no integer 2j matches
+    two_j = round(2 * j) if math.isfinite(2 * j) else -1
+    if two_j < 0 or abs(2 * j - two_j) > 1e-12:
+        raise ValueError(f"2j must be a nonnegative integer, got j={j}")
+    return two_j
 
 
 @functools.lru_cache(maxsize=32)
@@ -157,16 +166,16 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def radial_grid(m: int, order: int = 32) -> RadialGrid:
-    """Generalized Gauss-Laguerre rule for the normalized constraint weight."""
+def radial_grid(m: int) -> RadialGrid:
+    """32-node generalized Gauss-Laguerre rule for the normalized constraint weight."""
     alpha = m + 1
-    k = np.arange(order)
+    k = np.arange(32)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt((k[:-1] + 1.0) * (k[:-1] + 1.0 + alpha))
     jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     nodes, vecs = np.linalg.eigh(jacobi)
     weights = vecs[0] ** 2
-    return RadialGrid(m=m, nodes=nodes, weights=weights)
+    return RadialGrid(nodes=nodes, weights=weights)
 
 
 def gauge_grid() -> np.ndarray:

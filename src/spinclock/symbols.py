@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .coherent import _antipodal_where_far, _check_two_j, su2_coherent
-from .grids import RadialGrid, SphereGrid, gauge_grid, radial_grid, sphere_grid
+from .coherent import _antipodal_where_far, su2_coherent
+from .grids import RadialGrid, SphereGrid, _check_two_j, gauge_grid, radial_grid, sphere_grid
 
 # a full lower symbol maps (xi, r, theta) -> value, broadcasting its arguments
 FullLowerSymbol = Callable[[np.ndarray, float, np.ndarray], np.ndarray]
@@ -86,17 +86,15 @@ def _radial_mean(sym: FullLowerSymbol, xi, rgrid: RadialGrid,
     return total
 
 
-def project_lower_symbol(sym: FullLowerSymbol, m: int,
-                         rgrid: RadialGrid | None = None) -> ReducedLowerSymbol:
+def project_lower_symbol(sym: FullLowerSymbol, m: int) -> ReducedLowerSymbol:
     """Reduce a full lower symbol to the physical phase space.
 
     o'(xi) = sum_i w_i * mean_theta sym(xi, r_i, theta) with the
-    normalized radial rule and the uniform gauge grid; the uniform mean
-    cancels gauge-odd symbols to roundoff.  The returned symbol takes a
-    scalar or an array of xi.
+    normalized radial rule radial_grid(m) and the uniform gauge grid; the
+    uniform mean cancels gauge-odd symbols to roundoff.  The returned
+    symbol takes a scalar or an array of xi.
     """
-    if rgrid is None or rgrid.m != m:
-        rgrid = radial_grid(m)
+    rgrid = radial_grid(m)
     thetas = gauge_grid()
 
     def reduced(xi):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, clock, coherent, fock, symbols
-from .grids import radial_grid, sphere_grid
+from .grids import _check_two_j, sphere_grid
 
 EPS = np.finfo(float).eps
 
@@ -32,9 +32,8 @@ def _check(name: str, measured: float, tol: float) -> CheckResult:
 def run_checks(j: float = 5.0, seed: int = 0,
                quad_order: int | None = None) -> list[CheckResult]:
     """Run the full invariant suite at spin j; returns one result per check."""
+    two_j = _check_two_j(j)
     rng = np.random.default_rng(seed)
-    two_j = int(round(2 * j))
-    m_prime = two_j
     grid = sphere_grid(j, n_polar=quad_order)
     results: list[CheckResult] = []
 
@@ -59,20 +58,20 @@ def run_checks(j: float = 5.0, seed: int = 0,
     results.append(_check("classical.clock_branch_consistency", branch_err, 1e-12))
 
     # su(2) structure; products of entries up to about j round to about eps j^2
-    if m_prime >= 1:
-        s1, s2, s3 = fock.spin_operators(m_prime)
+    if two_j >= 1:
+        s1, s2, s3 = fock.spin_operators(two_j)
         comm = max(np.max(np.abs(s1 @ s2 - s2 @ s1 - 1j * s3)),
                    np.max(np.abs(s2 @ s3 - s3 @ s2 - 1j * s1)),
                    np.max(np.abs(s3 @ s1 - s1 @ s3 - 1j * s2)))
         results.append(_check("fock.su2_commutators", comm, 16 * EPS * j * j))
-        cas_err = np.max(np.abs(fock.casimir(m_prime) - j * (j + 1) * np.eye(m_prime + 1)))
+        cas_err = np.max(np.abs(fock.casimir(two_j) - j * (j + 1) * np.eye(two_j + 1)))
         results.append(_check("fock.casimir", cas_err, 64 * EPS * j * (j + 1)))
         expect = np.arange(-j, j + 1)
         spec_err = max(np.max(np.abs(np.sort(np.linalg.eigvalsh(s)) - expect))
                        for s in (s1, s2, s3))
         results.append(_check("fock.spin_spectrum", spec_err, 1e-10))
 
-    # projection and gauge covariance on r = m'+1, where e^{-r} r^{m'} / m'! stays in range
+    # projection and gauge covariance on r = 2j+1, where e^{-r} r^{2j} / (2j)! stays in range
     gauge_err = 0.0
     factor_err = 0.0
     for _ in range(50):
@@ -80,17 +79,17 @@ def run_checks(j: float = 5.0, seed: int = 0,
         beta = complex(rng.normal(), rng.normal())
         if abs(beta) < 1e-3:
             continue
-        scale = math.sqrt((m_prime + 1) / (abs(alpha) ** 2 + abs(beta) ** 2))
+        scale = math.sqrt((two_j + 1) / (abs(alpha) ** 2 + abs(beta) ** 2))
         alpha, beta = scale * alpha, scale * beta
-        amps, _ = coherent.project_coherent(alpha, beta, m_prime)
+        amps, _ = coherent.project_coherent(alpha, beta, two_j)
         th0 = rng.uniform(0, 2 * math.pi)
         amps_rot, _ = coherent.project_coherent(alpha * np.exp(1j * th0),
-                                                beta * np.exp(1j * th0), m_prime)
+                                                beta * np.exp(1j * th0), two_j)
         gauge_err = max(gauge_err,
-                        np.max(np.abs(amps_rot - np.exp(1j * m_prime * th0) * amps)))
-        theta, xi = coherent.factor_gauge_phase(alpha, beta, m_prime)
+                        np.max(np.abs(amps_rot - np.exp(1j * two_j * th0) * amps)))
+        theta, xi = coherent.factor_gauge_phase(alpha, beta)
         direction = amps / np.linalg.norm(amps)
-        rebuilt = np.exp(1j * m_prime * theta) * coherent.su2_coherent(xi, j)
+        rebuilt = np.exp(1j * two_j * theta) * coherent.su2_coherent(xi, j)
         factor_err = max(factor_err, np.max(np.abs(direction - rebuilt)))
     results.append(_check("coherent.gauge_covariance", gauge_err, 1e-13))
     results.append(_check("coherent.gauge_phase_factoring", factor_err, 1e-12))
@@ -124,8 +123,7 @@ def run_checks(j: float = 5.0, seed: int = 0,
         results.append(_check(f"coherent.radial_weight_norm_m{m}", abs(h / 3 * mass - 1), 1e-8))
 
     # symbol transport
-    m = m_prime
-    reduced_one = symbols.project_lower_symbol(lambda xi, r, th: 1.0, m)
+    reduced_one = symbols.project_lower_symbol(lambda xi, r, th: 1.0, two_j)
     results.append(_check("symbols.project_unit_symbol",
                           abs(reduced_one(0.3 + 0.4j) - 1.0), 1e-12))
     ident = symbols.reconstruct_operator(lambda xi: 1.0, j, grid)
@@ -134,7 +132,7 @@ def run_checks(j: float = 5.0, seed: int = 0,
     # gauge-average null for cos(theta + c) factors: c runs along axis 0,
     # five labels per c along axis 1
     c = np.array([0.0, 0.7, 2.4])[:, None, None]
-    reduced = symbols.project_lower_symbol(lambda xi, r, th: np.sqrt(r) * np.cos(th + c), m)
+    reduced = symbols.project_lower_symbol(lambda xi, r, th: np.sqrt(r) * np.cos(th + c), two_j)
     null_err = np.max(np.abs(reduced(rng.normal(size=(3, 5, 2)).view(complex)[..., 0])))
     results.append(_check("symbols.gauge_average_null", null_err, 1e-14))
     # constraint peaking for o = r
@@ -145,7 +143,7 @@ def run_checks(j: float = 5.0, seed: int = 0,
         peak_err = max(peak_err, abs(rel - 1.0 / (mm + 1)))
     results.append(_check("symbols.constraint_peaking", peak_err, 1e-12))
     # spin symbols closed form vs matrix expectations
-    if m_prime >= 1:
+    if two_j >= 1:
         x = rng.normal(size=(20, 2)).view(complex)[:, 0]
         cf = symbols.spin_symbols_closed_form(x, j)
         sym_err = max(np.max(np.abs(symbols.upper_symbol(mat, x, j) - val))
@@ -165,17 +163,15 @@ def run_checks(j: float = 5.0, seed: int = 0,
     # clock
     xi_c = 0.8 * np.exp(1j * math.pi / 5)
     taus = np.linspace(0.0, 4 * math.pi, 64)
-    vals = clock.clock_symbol_q1(xi_c, m, taus, phi_prime=0.2)
+    vals = clock.clock_symbol_q1(xi_c, two_j, taus, phi_prime=0.2)
     model = np.cos(taus + 0.2 + np.angle(xi_c))
     amp = float(vals @ model) / float(model @ model)
     results.append(_check("clock.sinusoid_fit",
                           np.max(np.abs(vals - amp * model)), 1e-12))
-    rgrid = radial_grid(m)
     depar = clock.deparameterize(
-        lambda xi, r, th: symbols.q1_position_symbol(xi, r, th), m, 0.0,
-        phi_prime=0.2, rgrid=rgrid)
+        lambda xi, r, th: symbols.q1_position_symbol(xi, r, th), two_j, 0.0, phi_prime=0.2)
     x = np.array([xi_c, 1.5 - 0.3j, 0.2 + 0.9j])
-    cs = clock.clock_symbol_q1(x, m, 0.0, phi_prime=0.2)
+    cs = clock.clock_symbol_q1(x, two_j, 0.0, phi_prime=0.2)
     keep = np.abs(cs) > 1e-12
     ratios = depar(x[keep]) / cs[keep]
     results.append(_check("clock.deparameterize_constant_ratio",
@@ -185,7 +181,7 @@ def run_checks(j: float = 5.0, seed: int = 0,
         # (worst at j = 2), converging like n_polar^-3; 2j+2 azimuths are exact here
         cop = clock.clock_operator(j, 0.7, phi_prime=0.2)
         quad = symbols.reconstruct_operator(
-            lambda xi: clock.clock_symbol_q1(xi, m, 0.7, phi_prime=0.2), j,
+            lambda xi: clock.clock_symbol_q1(xi, two_j, 0.7, phi_prime=0.2), j,
             sphere_grid(j, n_polar=8 * (two_j + 6), n_azimuthal=two_j + 2))
         results.append(_check("clock.operator_quadrature",
                               np.max(np.abs(quad - cop)) / np.max(np.abs(cop)), 1e-5))

@@ -71,7 +71,7 @@ def test_criterion_03_projection_gauge_covariance(report):
             beta += 1.0
         amps, _ = coherent.project_coherent(alpha, beta, m_prime)
         direction = amps / np.linalg.norm(amps)
-        theta, xi = coherent.factor_gauge_phase(alpha, beta, m_prime)
+        theta, xi = coherent.factor_gauge_phase(alpha, beta)
         rebuilt = (np.exp(1j * m_prime * theta)
                    * coherent.su2_coherent(xi, m_prime / 2.0))
         worst = max(worst, float(np.max(np.abs(direction - rebuilt))))

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,20 @@ def test_overlap_complex_sweep_matches_baseline(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert out_file.read_bytes() == (DATA / "overlap_j10_complex_baseline.csv").read_bytes()
+
+
+def test_json_numbers_are_the_csv_numbers(capsys):
+    # --format json writes every double as the CSV's round-trip text reads back
+    argv = ["overlap", "--j", "10", "--xi", "0.3,-0.7", "--sweep", "xi_prime:-3:2:2001"]
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    columns = json.loads(out)["columns"]
+    lines = (DATA / "overlap_j10_complex_baseline.csv").read_text().splitlines()
+    names = lines[1].split(",")
+    assert list(columns) == sorted(names)
+    rows = [line.split(",") for line in lines[2:]]
+    for i, name in enumerate(names):
+        assert columns[name] == [float(row[i]) for row in rows]
 
 
 def test_spin_flag_conflict_is_usage_error(capsys):
@@ -454,6 +469,46 @@ def test_quad_order_too_large_for_memory_is_refused_before_any_array(n, gib, mon
     assert code == 1 and out == ""
     assert err == (f"spinclock: error: spin j=5 with --quad-order {n} needs about "
                    f"{gib} GiB of arrays, over the 4 GiB budget\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["overlap", "--j", "1", "--sweep", "xi_prime:0:1:1000000000000"],
+    ["figure", "1", "--j", "5", "--sweep", "theta_prime:0:1:1000000000000"],
+    ["figure", "2", "--j", "5", "--sweep", "delta_phi:0:1:1000000000000"],
+    ["clock-trace", "--m", "4", "--sweep", "tau:0:1:1000000000000"],
+    ["symbols", "--j", "1", "--sweep", "xi:0:1:1000000000000"],
+    ["overlap", "--j", "1", "--sweep", "xi_prime:0:1:1" + "0" * 400]])  # an estimate of inf
+def test_sweep_too_large_for_memory_is_refused_before_any_array(argv, monkeypatch, capsys):
+    _refuse_arrays(monkeypatch)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert re.fullmatch(r"spinclock: error: a sweep of 10+ points needs about "
+                        r"(953674\.3|inf) GiB of arrays, over the 4 GiB budget\n", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["overlap", "--j", "10", "--xi", "0.3,-0.7", "--sweep", "xi_prime:-3:2:4000"],
+    ["figure", "1", "--j", "50", "--sweep", "theta_prime:0.2:1.3:4000"],
+    ["figure", "2", "--j", "50", "--sweep", "delta_phi:-3:3:4000"],
+    ["clock-trace", "--m", "100", "--xi=-2.7,1.2", "--sweep", "tau:0:6.28:4000"],
+    ["symbols", "--j", "1", "--sweep", "xi:-3:3:4000"]])
+def test_sweep_budget_covers_its_measured_peak(argv, tmp_path, capsys):
+    # measured per point: 670-880 for overlap, 470-660 for the figures and
+    # clock-trace, 700-1050 for symbols at j = 1 (its amplitude batch included)
+    argv = argv + ["--out", str(tmp_path / "out")]
+    plan = 4000 * cli.SWEEP_POINT_BYTES
+    if argv[0] == "symbols":
+        plan += cli.array_bytes(1, 6, labels=4000)
+    for fmt in ("csv", "json"):
+        assert main(argv + ["--format", fmt]) == 0  # imports what the command imports
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--format", fmt]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= plan, (fmt, peak / 4000)
+    capsys.readouterr()
 
 
 def _readme_commands():

@@ -130,14 +130,14 @@ def test_gauge_covariance():
 
 
 def test_factor_gauge_phase_simple():
-    theta, xi = coherent.factor_gauge_phase(0.0, 1j, 1)
+    theta, xi = coherent.factor_gauge_phase(0.0, 1j)
     assert theta == pytest.approx(math.pi / 2)
     assert xi == 0
 
 
 def test_factor_gauge_phase_reconstructs_state():
     alpha, beta, m_prime = 1 + 1j, 2.0, 3
-    theta, xi = coherent.factor_gauge_phase(alpha, beta, m_prime)
+    theta, xi = coherent.factor_gauge_phase(alpha, beta)
     assert xi == pytest.approx((1 + 1j) / 2)
     assert theta == pytest.approx(0.0)
     amps, _ = coherent.project_coherent(alpha, beta, m_prime)
@@ -157,7 +157,7 @@ def test_factored_projection_at_large_sector():
         alpha, beta = scale * alpha, scale * beta
         amps, norm_sq = coherent.project_coherent(alpha, beta, m_prime)
         assert np.vdot(amps, amps).real == pytest.approx(norm_sq, rel=5e-12)
-        theta, xi = coherent.factor_gauge_phase(alpha, beta, m_prime)
+        theta, xi = coherent.factor_gauge_phase(alpha, beta)
         direction = amps / np.linalg.norm(amps)
         rebuilt = np.exp(1j * m_prime * theta) * coherent.su2_coherent(xi, m_prime / 2)
         assert np.max(np.abs(direction - rebuilt)) < 1e-12
@@ -165,7 +165,7 @@ def test_factored_projection_at_large_sector():
 
 def test_factor_gauge_phase_pole():
     with pytest.raises(ChartSingularityError):
-        coherent.factor_gauge_phase(1.0, 0.0, 2)
+        coherent.factor_gauge_phase(1.0, 0.0)
 
 
 def test_overlap_self_is_one():

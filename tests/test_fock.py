@@ -83,12 +83,6 @@ def test_spin_operators_hermitian():
         assert np.max(np.abs(s - s.conj().T)) < 1e-14
 
 
-def test_spin_operators_commute_with_number():
-    num = fock.number_operator(9)
-    for s in fock.spin_operators(9):
-        assert np.max(np.abs(s @ num - num @ s)) == 0.0
-
-
 def test_ladder_raising_leaves_sector():
     m_prime = 4
     state = np.zeros(m_prime + 1, dtype=complex)

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spinclock import grids, symbols
+from spinclock import grids, symbols, verify
 
 
 def _legendre_node(n, u0):
@@ -71,6 +71,15 @@ def test_sphere_grid_arrays_are_writable_and_repeat_their_bytes():
         assert a.tobytes() == b.tobytes()
     first.rho[:] = 0.0
     assert grids.sphere_grid(7.5).rho.tobytes() == second.rho.tobytes()
+
+
+@pytest.mark.parametrize("build", [lambda: grids.sphere_grid(2.3),
+                                   lambda: grids.sphere_grid(-0.5),
+                                   lambda: verify.run_checks(2.3)])
+def test_spin_whose_2j_is_not_a_nonnegative_integer_is_rejected(build):
+    # rounding 2j would give the 2j = 5 grid for 2.3 and a 1-ring grid for -0.5
+    with pytest.raises(ValueError, match="2j must be a nonnegative integer"):
+        build()
 
 
 def test_second_reconstruct_operator_builds_no_rule():
