@@ -14,8 +14,7 @@ from .coherent import (factor_gauge_phase, overlap, project_coherent,
                        radial_weight, resolution_of_unity, su2_coherent)
 from .errors import (ChartSingularityError, ClockRangeError,
                      NullPhysicalSubspaceError, SpinclockError)
-from .fock import (apply_full_ladder, casimir, constraint_eigencheck,
-                   spin_operators)
+from .fock import casimir, constraint_eigencheck, spin_operators
 from .grids import RadialGrid, SphereGrid, radial_grid, sphere_grid
 from .symbols import (project_lower_symbol, q2_position_symbol,
                       reconstruct_operator, spin_symbols_closed_form,
@@ -30,7 +29,7 @@ __all__ = [
     "resolution_of_unity", "su2_coherent",
     "ChartSingularityError", "ClockRangeError", "NullPhysicalSubspaceError",
     "SpinclockError",
-    "apply_full_ladder", "casimir", "constraint_eigencheck", "spin_operators",
+    "casimir", "constraint_eigencheck", "spin_operators",
     "RadialGrid", "SphereGrid", "radial_grid", "sphere_grid",
     "project_lower_symbol", "q2_position_symbol", "reconstruct_operator",
     "spin_symbols_closed_form", "upper_symbol",

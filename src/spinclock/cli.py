@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, clock, coherent, fock, symbols, verify
 from .errors import SpinclockError
-from .grids import _check_two_j
+from .grids import _check_two_j, _default_n_azimuthal
 
 USAGE_ERROR = 1
 VERIFY_FAILURE = 2
@@ -159,7 +159,8 @@ def grid_bytes(n_polar: float, n_azimuthal: float) -> float:
     for the polar rule and 136 per node.  The clock symbol on 3248 x 402 nodes (j = 200)
     measures 65 per node with tracemalloc, its result included, since it runs in blocks;
     lowering 136 would change which spins verify admits."""
-    n_polar = float(min(n_polar, 1e300))  # a larger int has no float; its bytes are inf
+    # a larger int has no float; its bytes are inf
+    n_polar, n_azimuthal = float(min(n_polar, 1e300)), float(min(n_azimuthal, 1e300))
     return n_polar * (4.0 * n_polar + 136.0 * n_azimuthal)
 
 
@@ -327,8 +328,9 @@ def cmd_verify(args) -> int:
     # quantization on 8 (2j+6) x (2j+2) nodes (65 bytes per node), and reconstruct_operator
     # on the default grid peaks at 4.0; the estimate keeps 15 matrices and 136 bytes per node
     n = args.quad_order
-    need = array_bytes(j, matrices=15) + grid_bytes(8 * (2 * j + 6), 2 * j + 2) \
-        + grid_bytes(n or 0, 4 * j + 4)
+    need = array_bytes(j, matrices=15) + grid_bytes(8 * (2 * j + 6), 2 * j + 2)
+    if n:
+        need += grid_bytes(n, _default_n_azimuthal(_check_two_j(j)))
     _check_array_bytes(f"spin j={j:g}" + ("" if n is None else f" with --quad-order {n}"), need)
     results = verify.run_checks(j=j, seed=args.seed, quad_order=args.quad_order)
     all_passed = all(r.passed for r in results)

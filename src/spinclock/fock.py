@@ -55,41 +55,3 @@ def casimir(m_prime: int) -> np.ndarray:
     """S1^2 + S2^2 + S3^2; equals j(j+1) I with j = m'/2."""
     s1, s2, s3 = spin_operators(m_prime)
     return s1 @ s1 + s2 @ s2 + s3 @ s3
-
-
-def apply_full_ladder(amplitudes: np.ndarray, m_prime: int, which: str
-                      ) -> tuple[np.ndarray, int]:
-    """Apply a single-mode ladder operator to a physical-sector state.
-
-    Returns (amplitudes, sector) of the image, which lives in the m'+-1
-    sector: the full ladder operators do not preserve the physical
-    subspace.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-    if amplitudes.shape != (m_prime + 1,):
-        raise ValueError("state dimension does not match sector")
-    n = np.arange(m_prime + 1)
-    if which == "a":
-        # a |n, m'-n> = sqrt(n) |n-1, m'-n>, sector m'-1, index n-1
-        out = np.zeros(max(m_prime, 1), dtype=np.complex128)
-        if m_prime == 0:
-            return np.zeros(1, dtype=np.complex128), 0
-        out[: m_prime] = np.sqrt(n[1:]) * amplitudes[1:]
-        return out, m_prime - 1
-    if which == "a+":
-        # a' |n, m'-n> = sqrt(n+1) |n+1, m'-n>, sector m'+1, index n+1
-        out = np.zeros(m_prime + 2, dtype=np.complex128)
-        out[1:] = np.sqrt(n + 1.0) * amplitudes
-        return out, m_prime + 1
-    if which == "b":
-        # b |n, m'-n> = sqrt(m'-n) |n, m'-n-1>, sector m'-1, index n
-        if m_prime == 0:
-            return np.zeros(1, dtype=np.complex128), 0
-        out = np.sqrt(m_prime - n[:-1]) * amplitudes[:-1]
-        return out.astype(np.complex128), m_prime - 1
-    if which == "b+":
-        # b' |n, m'-n> = sqrt(m'-n+1) |n, m'-n+1>, sector m'+1, index n
-        out = np.zeros(m_prime + 2, dtype=np.complex128)
-        out[: m_prime + 1] = np.sqrt(m_prime - n + 1.0) * amplitudes
-        return out, m_prime + 1
-    raise ValueError(f"unknown ladder operator {which!r}")

@@ -32,6 +32,13 @@ cache keeps the last few dozen (32 KB at n = 2002) as read-only arrays,
 from which sphere_grid derives its own writable radii and weights.  A
 node count below 1 raises on every call; the cache keeps no errors.
 
+The default azimuth count N is the largest 2^a 3^b 5^c <= 4j+4, a size
+whose FFT runs in mixed radix: 4j+4 itself has the prime factor 101 at
+j = 100, where np.fft.rfft over the 202 rings takes 1.6 ms against
+0.28 ms at 400 azimuths (one Xeon core).  A power of two always lies in
+(2j+2, 4j+4], so N >= 2j+3; the azimuthal rule is exact for a symbol of
+azimuthal degree up to N - 2j - 1 (see sphere_grid).
+
 Layout: the grid is a tensor product of n_polar Gauss-Legendre rings and
 n_azimuthal uniform azimuths, and it stores only what varies between
 rings: each ring's radius rho_p = tan(Theta_p/2) and the weight of each of
@@ -90,19 +97,41 @@ def sphere_grid(j: float, n_polar: int | None = None, n_azimuthal: int | None = 
     """Build the default exact-degree grid for spin j.
 
     Polynomial integrands of coherent-state matrix elements have degree
-    2j in u = cos(Theta) and azimuthal harmonics up to e^{+-2ij phi}; the
-    defaults (2j+2 Gauss-Legendre nodes, 4j+4 azimuth points) are exact
-    for those with headroom for low-degree symbol factors.
+    2j in u = cos(Theta) and azimuthal harmonics up to e^{+-2ij phi}.  The
+    defaults are 2j+2 Gauss-Legendre nodes and N azimuths, N the largest
+    2^a 3^b 5^c <= 4j+4 (24 at j = 5, 81 at j = 20, 400 at j = 100).  The
+    N-point azimuthal rule is exact for e^{ih phi} |xi><xi| whenever
+    |h| <= N - 2j - 1; a symbol harmonic h = N - 2j aliases onto entry
+    (2j, 0).  That degree is at least 3, and at least 0.81 (2j+3) for
+    every 2j <= 4000 but 2j = 5, where it is 6; 4j+4 azimuths reach 2j+3.
     """
     two_j = _check_two_j(j)
     if n_polar is None:
         n_polar = two_j + 2
     if n_azimuthal is None:
-        n_azimuthal = 2 * two_j + 4
+        n_azimuthal = _default_n_azimuthal(two_j)
     u, wu = _gauss_legendre(n_polar)
     return SphereGrid(rho=np.sqrt((1.0 - u) / (1.0 + u)),
                       ring_weights=wu * (2.0 * np.pi / n_azimuthal) * 0.25,
                       n_azimuthal=n_azimuthal)
+
+
+@functools.lru_cache(maxsize=32)
+def _default_n_azimuthal(two_j: int) -> int:
+    """The largest 2^a 3^b 5^c <= 4j+4, the default azimuth count at spin j = two_j / 2.
+
+    Cached per 2j: the search takes about 5 us at j = 100, a third of a grid build.
+    """
+    limit = 2 * two_j + 4
+    best, p5 = 1, 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            # the largest p35 2^a <= limit
+            best = max(best, p35 << ((limit // p35).bit_length() - 1))
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _check_two_j(j: float) -> int:

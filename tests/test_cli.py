@@ -460,14 +460,20 @@ def test_spin_too_large_for_memory_is_refused_before_any_array(argv, monkeypatch
                         r"(\d+\.\d|inf) GiB of arrays, over the 4 GiB budget\n", err)
 
 
-@pytest.mark.parametrize("n, gib", [("100000", "37.6"), ("1" + "0" * 400, "inf")])
-def test_quad_order_too_large_for_memory_is_refused_before_any_array(n, gib, monkeypatch,
+@pytest.mark.parametrize("j, n, gib", [
+    pytest.param("5", "100000", "37.6", id="100000-37.6"),
+    pytest.param("5", "1" + "0" * 400, "inf", id="1" + "0" * 400 + "-inf"),
+    # 8.1 GiB on 4j+4 = 404 azimuths instead of the default 400
+    pytest.param("100", "40000", "8.0", id="j100-40000-8.0"),
+    # at j = 8e307, 4j+4 and the default azimuth count exceed the float range
+    pytest.param("8e+307", "4", "inf", id="j8e+307-4-inf")])
+def test_quad_order_too_large_for_memory_is_refused_before_any_array(j, n, gib, monkeypatch,
                                                                       capsys):
     # at 100000 the polar rule alone would hold two 50000 x 50001 float matrices, 18.6 GiB
     _refuse_arrays(monkeypatch)
-    code, out, err = run_cli(["verify", "--j", "5", "--quad-order", n], capsys)
+    code, out, err = run_cli(["verify", "--j", j, "--quad-order", n], capsys)
     assert code == 1 and out == ""
-    assert err == (f"spinclock: error: spin j=5 with --quad-order {n} needs about "
+    assert err == (f"spinclock: error: spin j={j} with --quad-order {n} needs about "
                    f"{gib} GiB of arrays, over the 4 GiB budget\n")
 
 

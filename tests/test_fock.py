@@ -81,36 +81,3 @@ def test_sector_operators_match_full_kron_construction(m_prime):
 def test_spin_operators_hermitian():
     for s in fock.spin_operators(11):
         assert np.max(np.abs(s - s.conj().T)) < 1e-14
-
-
-def test_ladder_raising_leaves_sector():
-    m_prime = 4
-    state = np.zeros(m_prime + 1, dtype=complex)
-    n = 2
-    state[n] = 1.0
-    out, sector = fock.apply_full_ladder(state, m_prime, "a+")
-    assert sector == m_prime + 1
-    expected = np.zeros(m_prime + 2, dtype=complex)
-    expected[n + 1] = np.sqrt(n + 1.0)
-    assert np.allclose(out, expected)
-
-
-def test_ladder_vacuum_annihilation():
-    m_prime = 3
-    state = np.zeros(m_prime + 1, dtype=complex)
-    state[0] = 1.0  # |0, m'>
-    out, sector = fock.apply_full_ladder(state, m_prime, "a")
-    assert sector == m_prime - 1
-    assert np.all(out == 0)
-
-
-def test_ladder_lowering_other_mode():
-    m_prime = 5
-    state = np.zeros(m_prime + 1, dtype=complex)
-    n = 2
-    state[n] = 1.0
-    out, sector = fock.apply_full_ladder(state, m_prime, "b")
-    assert sector == m_prime - 1
-    expected = np.zeros(m_prime, dtype=complex)
-    expected[n] = np.sqrt(m_prime - n)
-    assert np.allclose(out, expected)

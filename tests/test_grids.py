@@ -73,6 +73,29 @@ def test_sphere_grid_arrays_are_writable_and_repeat_their_bytes():
     assert grids.sphere_grid(7.5).rho.tobytes() == second.rho.tobytes()
 
 
+def _five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_default_azimuth_count_is_the_largest_five_smooth_up_to_4j_plus_4():
+    for two_j in range(2001):
+        n_az, limit = grids._default_n_azimuthal(two_j), 2 * two_j + 4
+        assert _five_smooth(n_az)
+        assert two_j + 3 <= n_az <= limit
+        assert not any(_five_smooth(n) for n in range(n_az + 1, limit + 1))
+    assert [grids.sphere_grid(j).n_azimuthal for j in (5, 20, 50, 100, 200)] == \
+        [24, 81, 200, 400, 800]
+
+
+def test_explicit_azimuth_count_overrides_the_default():
+    grid = grids.sphere_grid(100, n_azimuthal=404)
+    assert grid.n_azimuthal == 404
+    assert np.sum(grid.weights) == pytest.approx(np.pi, rel=1e-14)
+
+
 @pytest.mark.parametrize("build", [lambda: grids.sphere_grid(2.3),
                                    lambda: grids.sphere_grid(-0.5),
                                    lambda: verify.run_checks(2.3)])

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spinclock import fock, symbols
+from spinclock import fock, kernels, symbols
 from spinclock.coherent import su2_coherent
+from spinclock.grids import sphere_grid
 
 RNG = np.random.default_rng(7)
 
@@ -300,3 +301,31 @@ def test_reconstruct_then_upper_symbol_is_berezin_eigenvalue(j):
         got = symbols.upper_symbol(op, xis)
         want = _berezin_eigenvalue(l, two_j) * _harmonics(xis)[l, name]
         assert np.max(np.abs(got - want)) < 1e-12, (l, name)
+
+
+@pytest.mark.parametrize("two_j", [5, 20, 100])
+def test_default_azimuths_integrate_harmonics_up_to_n_minus_2j_minus_1(two_j):
+    # the N-point rule sums e^{i(h+d) phi} exactly unless h + d = 0 mod N; with
+    # |d| <= 2j that holds for |h| <= N - 2j - 1, and h = N - 2j meets d = -2j
+    j = two_j / 2
+    grid = sphere_grid(j)
+    n_az = grid.n_azimuthal
+    fine = sphere_grid(j, n_azimuthal=4 * n_az)
+    # the size of entry (n, n') for a symbol of modulus 1: ((2j+1)/pi) sum_k w_k a_n a_n'.
+    # Entry (2j, 0) is 1e-29 at 2j = 100, below the rounding of the diagonal, so each
+    # entry is compared on its own scale
+    amps = kernels.coherent_amplitudes(grid.rho, two_j).real
+    scale = (two_j + 1) / np.pi * n_az * (amps.T * grid.ring_weights) @ amps
+    corners = (np.array([two_j, 0]), np.array([0, two_j]))
+    for h in (n_az - two_j - 1, n_az - two_j):
+        sym = lambda xi: np.cos(h * np.angle(xi))
+        rel = np.abs(symbols.reconstruct_operator(sym, j, grid)
+                     - symbols.reconstruct_operator(sym, j, fine)) / scale
+        # the samples cos(h arg xi) round to about h eps
+        tol = 4 * h * np.finfo(float).eps
+        if h == n_az - two_j:
+            # e^{ih phi} lands in column -2j mod N, which entry (2j, 0) reads: the cosine
+            # puts half of the scale there and at the mirror (0, 2j)
+            np.testing.assert_allclose(rel[corners], 0.5, rtol=1e-12)
+            rel[corners] = 0.0
+        assert np.max(rel) < tol, (h, np.max(rel) / tol)

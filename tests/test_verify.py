@@ -1,6 +1,7 @@
 import pytest
 
 from spinclock import clock, verify
+from spinclock.grids import sphere_grid
 
 
 def _by_name(results):
@@ -36,3 +37,12 @@ def test_berezin_check_fails_on_under_resolved_grid():
     check = _by_name(verify.run_checks(5.0, quad_order=2))["symbols.berezin_eigenvalue"]
     assert not check.passed
     assert check.measured > 0.1
+
+
+@pytest.mark.parametrize("j,low,high", [(300, 0.06, 0.25), (500, 0.1, 0.4)])
+def test_berezin_error_is_rounding_of_size_2j_plus_1_eps(j, low, high):
+    # 2.0 and 3.2 (2j+1) eps against a tolerance of 16 (2j+1) eps; at j = 700 the
+    # error is 1.5e-12, so a constant 1e-12 fails on correct code
+    check = verify._berezin_check(j, sphere_grid(j))
+    assert check.tol == 16 * verify.EPS * (2 * j + 1)
+    assert low < check.measured / check.tol < high, check.line()
