@@ -4,6 +4,11 @@ Serves as the oracle for every classical-limit check: trajectories in
 proper time, the amplitude constraint, gauge-invariant reduced
 coordinates, and the position-clock readout of one oscillator against the
 other.
+
+Each oscillator has H = (p^2 + omega^2 q^2)/2, so amplitudes A and B carry
+the energy E = omega^2 (A^2 + B^2)/2.  amplitude_energy is the one
+statement of that relation: constraint_residual holds it against E, and
+clock.classical_amplitude inverts it at E = hbar omega (m+1).
 """
 
 import cmath
@@ -57,10 +62,14 @@ def trajectory(cfg: ClassicalConfig, tau: float) -> tuple[float, float, float, f
     )
 
 
+def amplitude_energy(radius: float, omega: float) -> float:
+    """omega^2 R^2 / 2: the energy of amplitudes A, B with A^2 + B^2 = R^2."""
+    return 0.5 * omega**2 * radius**2
+
+
 def constraint_residual(cfg: ClassicalConfig) -> float:
-    """(A w)^2 + (B w)^2 - E; zero exactly on shell."""
-    w = cfg.omega
-    return (cfg.A * w) ** 2 + (cfg.B * w) ** 2 - cfg.E
+    """omega^2 (A^2 + B^2)/2 - E; zero exactly on shell."""
+    return amplitude_energy(math.hypot(cfg.A, cfg.B), cfg.omega) - cfg.E
 
 
 def reduced_coordinate(cfg: ClassicalConfig) -> complex:
@@ -88,7 +97,7 @@ def classical_clock_readout(cfg: ClassicalConfig, q2: float) -> float:
 
 
 def energy(cfg: ClassicalConfig, tau: float) -> float:
-    """Total mechanical energy along the trajectory (tau-independent)."""
+    """Total mechanical energy along the trajectory: tau-independent, and E on shell."""
     q1, p1, q2, p2 = trajectory(cfg, tau)
     w2 = cfg.omega**2
     return 0.5 * (p1**2 + w2 * q1**2) + 0.5 * (p2**2 + w2 * q2**2)

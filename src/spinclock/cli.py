@@ -28,6 +28,9 @@ ARRAY_BUDGET = 4 * 2**30
 # arrays: tracemalloc measures 430-890 over every subcommand and format, the
 # most for symbols --format json (10 columns)
 SWEEP_POINT_BYTES = 1024
+# bytes per grid node of quantizing a symbol: tracemalloc measures 65 for the clock
+# symbol at j = 30, 100 and 200, its result included, and 40 for cos(Theta)
+GRID_NODE_BYTES = 80
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,12 +159,10 @@ def array_bytes(j: float, matrices: int, labels: int = 0) -> float:
 
 def grid_bytes(n_polar: float, n_azimuthal: float) -> float:
     """Estimated peak bytes of reconstruct_operator on an n_polar x n_azimuthal grid: 4 n_polar^2
-    for the polar rule and 136 per node.  The clock symbol on 3248 x 402 nodes (j = 200)
-    measures 65 per node with tracemalloc, its result included, since it runs in blocks;
-    lowering 136 would change which spins verify admits."""
+    for the polar rule and GRID_NODE_BYTES per node."""
     # a larger int has no float; its bytes are inf
     n_polar, n_azimuthal = float(min(n_polar, 1e300)), float(min(n_azimuthal, 1e300))
-    return n_polar * (4.0 * n_polar + 136.0 * n_azimuthal)
+    return n_polar * (4.0 * n_polar + GRID_NODE_BYTES * n_azimuthal)
 
 
 def _check_array_bytes(what: str, need: float):
@@ -289,10 +290,9 @@ def cmd_clock_trace(args) -> int:
     m = _check_two_j(_spin(args))
     xi, omega, phi_prime = args.xi, args.omega, args.phi_prime
     taus = _sweep_grid(args, "tau", (0.0, 4 * math.pi, 201))
-    quantum = clock.clock_symbol_q1(xi, m, taus, phi_prime, omega)
+    quantum = clock.clock_symbol_q1(xi, m, taus, phi_prime, omega, args.hbar)
     a_cl = clock.classical_amplitude(m, xi, omega, args.hbar)
-    phase = np.angle(xi) if abs(xi) > 0 else 0.0
-    classical_q1 = a_cl * np.cos(omega * taus + phi_prime + phase)
+    classical_q1 = a_cl * np.cos(omega * taus + phi_prime + np.angle(xi))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.abs(classical_q1) > 1e-12 * max(a_cl, 1e-300),
                          quantum / np.where(classical_q1 != 0, classical_q1, 1.0),
@@ -325,8 +325,8 @@ def cmd_symbols(args) -> int:
 def cmd_verify(args) -> int:
     j = _spin(args, default=5.0)
     # tracemalloc at j = 200: run_checks holds 6.1 matrices' worth besides the clock check's
-    # quantization on 8 (2j+6) x (2j+2) nodes (65 bytes per node), and reconstruct_operator
-    # on the default grid peaks at 4.0; the estimate keeps 15 matrices and 136 bytes per node
+    # quantization on 8 (2j+6) x (2j+2) nodes, and reconstruct_operator on the default
+    # grid peaks at 4.0; the estimate keeps 15 matrices
     n = args.quad_order
     need = array_bytes(j, matrices=15) + grid_bytes(8 * (2 * j + 6), 2 * j + 2)
     if n:

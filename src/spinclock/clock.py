@@ -4,26 +4,32 @@ One oscillator's position is read against the other's: the gauge angle
 theta is the phase of oscillator 2, so conditioning on a clock reading
 fixes theta = omega*tau + phi' (one root per period; the second root of
 the position clock is excluded, as for the classical arccos branch).
-The conditioned symbol of q1 then has the closed form
+With q = sqrt(hbar/2 omega)(a + a^dagger) the lower symbol of q1 is
+sqrt(2 hbar/omega) |alpha| cos(theta + arg xi), and its radial mean on the
+slice has the closed form
 
-    q1'(xi; tau) = (Gamma(m+5/2)/(m+1)!) *
-                   (xi e^{i(omega tau+phi')} + c.c.) / sqrt(1+|xi|^2)
+    q1'(xi; tau) = sqrt(hbar/2 omega) G(m) *
+                   (xi e^{i(omega tau+phi')} + c.c.) / sqrt(1+|xi|^2),
 
-which tends to the classical sinusoid A cos(omega tau + phi' + arg xi)
-as m grows.  clock_symbol_q1 is the one form of this symbol, for the
-printed trace and the operator alike: it broadcasts xi, tau and phi'
-against each other, and every element has the bits of a call with scalar
-arguments.  For that it takes arg xi from math.atan2, label by label, in
-blocks of a few thousand labels; np.arctan2 differs from it in the last
-ulp on some labels.  Where |xi|^2 overflows, |xi| / sqrt(1+|xi|^2) comes
-from the antipodal label 1/xi, by the rule spin_symbols_closed_form uses
-too.
+G(m) = Gamma(m+5/2)/(m+1)!.  The classical amplitude at E = hbar omega
+(m+1) is A = sqrt(2E)/omega |xi|/sqrt(1+|xi|^2), so q1' tends to the
+classical sinusoid A cos(omega tau + phi' + arg xi) with the amplitude
+ratio G(m)/sqrt(m+1) -> 1.  slice_amplitude is the one statement of
+sqrt(2) G(m), for the symbol and the operator alike.
+
+clock_symbol_q1 is the one form of this symbol, for the printed trace and
+the operator: it broadcasts xi, tau and phi' against each other, and
+takes arg xi from np.angle, as the classical column of clock-trace and
+classical_limit_check do.  Where |xi|^2 overflows, |xi| / sqrt(1+|xi|^2)
+comes from the antipodal label 1/xi, by the rule spin_symbols_closed_form
+uses too.
 
 clock_operator quantizes this symbol exactly, by a Beta function
 (Berezin, Commun. Math. Phys. 40, 153, 1975), and needs no grid.  Its 2j
 magnitudes depend on j alone: a bounded LRU cache keeps them per 2j as a
-read-only array, so each call only applies the phase e^{i(omega tau+phi')}
-and writes the two off-diagonals of a new matrix.
+read-only array, so each call only applies the scale sqrt(hbar/omega) and
+the phase e^{i(omega tau+phi')} and writes the two off-diagonals of a new
+matrix.
 
 Correlation functions between spin coherent states measure how sharp the
 clock is: a Gaussian of width 1/(2j) in the amplitude angle and
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import classical, kernels
 from .coherent import _antipodal_where_far
 from .errors import ChartSingularityError
 from .grids import _check_two_j, radial_grid
@@ -72,63 +78,45 @@ def deparameterize(sym: FullLowerSymbol, m: int, tau: float,
     return at_slice
 
 
-def gamma_half_ratio(m: int) -> float:
-    """Gamma(m+5/2)/(m+1)! via log-Gamma (overflows directly for m ~ 170)."""
-    return math.exp(math.lgamma(m + 2.5) - math.lgamma(m + 2.0))
+def slice_amplitude(m: int) -> float:
+    """sqrt(2) G(m), G(m) = Gamma(m+5/2)/(m+1)!: the amplitude of q1' at |xi| -> inf,
+    in units of sqrt(hbar/omega); via log-Gamma (G overflows directly for m ~ 170)."""
+    return math.sqrt(2.0) * math.exp(math.lgamma(m + 2.5) - math.lgamma(m + 2.0))
 
 
-# math.atan2 per element, returning an object array of Python floats
-_atan2_elementwise = np.frompyfunc(math.atan2, 2, 1)
-# elements per block of _atan2
-_ATAN2_BLOCK = 4096
-
-
-def _atan2(y, x) -> np.ndarray:
-    """math.atan2 elementwise over y and x broadcast together, bit for bit.
-
-    Runs in blocks of _ATAN2_BLOCK elements, so besides the float result it
-    holds the Python floats of one block, not of every element.
-    """
-    it = np.nditer([y, x, None], flags=["external_loop", "buffered", "zerosize_ok"],
-                   op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
-                   op_dtypes=[np.float64] * 3, buffersize=_ATAN2_BLOCK)
-    with it:
-        for y_block, x_block, out in it:
-            out[...] = _atan2_elementwise(y_block, x_block)
-        return it.operands[2]
-
-
-def clock_symbol_q1(xi, m: int, tau, phi_prime=0.0, omega: float = 1.0):
+def clock_symbol_q1(xi, m: int, tau, phi_prime=0.0, omega: float = 1.0, hbar: float = 1.0):
     """Closed form of the conditioned clock symbol q1'(xi; tau).
 
     Real for any xi; a single sinusoid in tau with phase
-    omega*tau + phi' + arg xi.  xi, tau and phi_prime broadcast against
-    each other, and a 0-d result is a scalar.  Each element has the bits
-    of a call with scalar arguments: arg xi comes from math.atan2, one
-    label at a time, because np.arctan2 rounds differently on some labels.
+    omega*tau + phi' + arg xi and amplitude
+    sqrt(hbar/omega) slice_amplitude(m) |xi|/sqrt(1+|xi|^2).  xi, tau and
+    phi_prime broadcast against each other, and a 0-d result is a scalar.
+    Each element has the bits of a call with scalar arguments.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     xi = np.asarray(xi, dtype=np.complex128)
     num, den = _modulus_over_norm(xi)
-    phase = omega * np.asarray(tau, dtype=float) + phi_prime + _atan2(xi.imag, xi.real)
-    return (gamma_half_ratio(m) * 2.0 * num / den * np.cos(phase))[()]
+    phase = omega * np.asarray(tau, dtype=float) + phi_prime + np.angle(xi)
+    return (math.sqrt(hbar / omega) * slice_amplitude(m) * num / den * np.cos(phase))[()]
 
 
 def classical_amplitude(m: int, xi, omega: float = 1.0, hbar: float = 1.0):
     """Amplitude A of oscillator 1 for energy E = (m+1) hbar omega and ratio |xi|.
 
-    xi is a scalar or an array of labels; the result has its shape.
-    Raises ValueError where sqrt(E / omega^2) leaves the float range, as
-    for omega = 1e200 or 1e-200, whose square overflows or underflows.
+    A = R |xi|/sqrt(1+|xi|^2), R the radius sqrt(A^2 + B^2) whose
+    classical.amplitude_energy is E.  xi is a scalar or an array of labels;
+    the result has its shape.  Raises ValueError where R leaves the float
+    range, as for omega = 1e200 or 1e-200, whose square overflows or
+    underflows.
     """
     e_tot = (m + 1) * hbar * omega
     try:
-        scale = math.sqrt(e_tot / omega**2)
+        scale = math.sqrt(e_tot / classical.amplitude_energy(1.0, omega))
     except (OverflowError, ZeroDivisionError):
         scale = math.inf
     if not math.isfinite(scale):
-        raise ValueError(f"the classical amplitude sqrt(E/omega^2) leaves the float range "
+        raise ValueError(f"the classical amplitude sqrt(2E)/omega leaves the float range "
                          f"at omega={omega!r}, hbar={hbar!r}")
     num, den = _modulus_over_norm(xi)
     return (scale * num / den)[()]
@@ -151,36 +139,37 @@ def classical_limit_check(xi: complex, m_list, tau_grid,
     """Compare the clock symbol against the classical trajectory as m grows.
 
     For each m the clock symbol is a sinusoid with the classical phase;
-    the amplitude ratio to A approaches a constant with O(1/m) deviation.
+    its amplitude over A is G(m)/sqrt(m+1), which tends to limit_ratio = 1
+    with O(1/m) deviation.
     """
     if abs(xi) == 0:
         raise ValueError("xi = 0 carries no oscillator-1 signal")
     tau_grid = np.asarray(tau_grid, dtype=float)
-    delta_phi = math.atan2(xi.imag, xi.real)
-    # lim_m 2 Gamma(m+5/2) / ((m+1)! sqrt(m+1)) = 2
+    # in units of sqrt(hbar/omega) the slice amplitude is sqrt(2) G(m) and A's radius
+    # sqrt((m+1) / amplitude_energy(1, 1)); G(m)/sqrt(m+1) -> 1
     report = {"m": list(m_list), "amplitude_ratio": [], "phase_residual": [],
-              "limit_ratio": 2.0}
+              "limit_ratio": math.sqrt(2.0 * classical.amplitude_energy(1.0, 1.0))}
+    model = np.cos(omega * tau_grid + phi_prime + np.angle(xi))
     for m in m_list:
         vals = clock_symbol_q1(xi, m, tau_grid, phi_prime, omega)
-        # fit a single sinusoid amp*cos(omega tau + phi' + dphi)
-        model = np.cos(omega * tau_grid + phi_prime + delta_phi)
+        # fit a single sinusoid amp*cos(omega tau + phi' + arg xi)
         amp = float(vals @ model) / float(model @ model)
         resid = float(np.max(np.abs(vals - amp * model)))
-        a_cl = classical_amplitude(m, xi, omega)
-        report["amplitude_ratio"].append(amp / a_cl)
+        report["amplitude_ratio"].append(amp / classical_amplitude(m, xi, omega))
         report["phase_residual"].append(resid / max(abs(amp), 1e-300))
     return report
 
 
 def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
-                   omega: float = 1.0) -> np.ndarray:
+                   omega: float = 1.0, hbar: float = 1.0) -> np.ndarray:
     """Operator of the clock symbol: ((2j+1)/pi) int q1'(xi;tau) |xi><xi| dmu, exactly.
 
-    With m = 2j, G = gamma_half_ratio(m) and psi = omega*tau + phi', the
-    term G xi e^{i psi} / sqrt(1+|xi|^2) of q1' pairs only with
-    <n|xi><xi|n+1>, and its radial integral in |xi|^2 is a Beta function:
+    With m = 2j, G = slice_amplitude(m)/sqrt(2) and psi = omega*tau + phi',
+    the term sqrt(hbar/2 omega) G xi e^{i psi} / sqrt(1+|xi|^2) of q1' pairs
+    only with <n|xi><xi|n+1>, and its radial integral in |xi|^2 is a Beta
+    function:
 
-        C[n, n+1] = (2j+1) G sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+1/2) e^{i psi},
+        C[n, n+1] = (2j+1) sqrt(hbar/2 omega) G sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+1/2) e^{i psi},
 
     C[n+1, n] its conjugate and every other entry exactly 0.
     """
@@ -189,18 +178,19 @@ def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
     out = np.zeros((dim, dim), dtype=np.complex128)
     # flat views: entry (n, n') of out is element n * dim + n'
     above, below = out.reshape(-1)[1::dim + 1], out.reshape(-1)[dim::dim + 1]
-    above[:] = _clock_magnitudes(two_j) * np.exp(1j * (omega * tau + phi_prime))
+    above[:] = _clock_magnitudes(two_j) * (math.sqrt(hbar / omega)
+                                           * np.exp(1j * (omega * tau + phi_prime)))
     below[:] = above.conj()
     return out
 
 
 @functools.lru_cache(maxsize=16)
 def _clock_magnitudes(two_j: int) -> np.ndarray:
-    """|C[n, n+1]| of clock_operator for n = 0..2j-1; cached per 2j, read-only."""
+    """|C[n, n+1]| of clock_operator at hbar = omega for n = 0..2j-1; cached per 2j, read-only."""
     log_beta = np.array([math.lgamma(k + 2.0) + math.lgamma(two_j - k + 0.5)
                          for k in range(two_j)]) - math.lgamma(two_j + 2.5)
     half = kernels._log_binomial_halves(two_j)
-    out = (two_j + 1) * gamma_half_ratio(two_j) * np.exp(half[:-1] + half[1:] + log_beta)
+    out = (two_j + 1) * (0.5 * slice_amplitude(two_j)) * np.exp(half[:-1] + half[1:] + log_beta)
     out.flags.writeable = False
     return out
 

@@ -56,11 +56,15 @@ def run_checks(j: float = 5.0, seed: int = 0,
     results: list[CheckResult] = []
 
     # classical oracle
-    cfg = classical.ClassicalConfig(A=0.6, B=0.8, phi=0.4, phi_prime=0.1, omega=1.0, E=1.0)
+    cfg = classical.ClassicalConfig(A=0.6, B=0.8, phi=0.4, phi_prime=0.1, omega=1.0, E=0.5)
     taus = np.linspace(0.0, 10 * 2 * math.pi, 101)
     energies = np.array([classical.energy(cfg, t) for t in taus])
     results.append(_check("classical.energy_conservation",
                           np.max(energies) - np.min(energies), 1e-12))
+    # a config the constraint puts on shell carries the energy E along its trajectory
+    results.append(_check("classical.on_shell_energy",
+                          np.max(np.abs(energies - cfg.E)) if cfg.is_on_shell() else math.inf,
+                          1e-12))
     xi0 = classical.reduced_coordinate(cfg)
     shifted = classical.ClassicalConfig(A=cfg.A, B=cfg.B, phi=cfg.phi + 0.37,
                                         phi_prime=cfg.phi_prime + 0.37,

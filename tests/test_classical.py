@@ -10,7 +10,7 @@ from spinclock.errors import ChartSingularityError, ClockRangeError
 
 
 def test_trajectory_at_origin():
-    cfg = classical.ClassicalConfig(A=1, B=0, phi=0, phi_prime=0, omega=1, E=1)
+    cfg = classical.ClassicalConfig(A=1, B=0, phi=0, phi_prime=0, omega=1, E=0.5)
     q1, p1, _, _ = classical.trajectory(cfg, 0.0)
     assert q1 == 1.0
     assert p1 == 0.0
@@ -18,7 +18,7 @@ def test_trajectory_at_origin():
 
 def test_trajectory_quarter_period():
     cfg = classical.ClassicalConfig(A=1, B=1, phi=0, phi_prime=math.pi / 2,
-                                    omega=1, E=2)
+                                    omega=1, E=1)
     q1, _, q2, _ = classical.trajectory(cfg, math.pi / 2)
     assert q1 == pytest.approx(0.0, abs=1e-15)
     assert q2 == pytest.approx(-1.0, abs=1e-15)
@@ -26,7 +26,7 @@ def test_trajectory_quarter_period():
 
 def test_trajectory_generic_point():
     A, B, phi, phip, w, tau = 0.6, 0.8, 0.3, 0.1, 2.0, 0.7
-    cfg = classical.ClassicalConfig(A=A, B=B, phi=phi, phi_prime=phip, omega=w, E=4.0)
+    cfg = classical.ClassicalConfig(A=A, B=B, phi=phi, phi_prime=phip, omega=w, E=2.0)
     q1, p1, q2, p2 = classical.trajectory(cfg, tau)
     assert q1 == pytest.approx(A * math.cos(w * tau + phi), abs=1e-15)
     assert p1 == pytest.approx(A * w * math.sin(w * tau + phi), abs=1e-15)
@@ -35,9 +35,9 @@ def test_trajectory_generic_point():
 
 
 @pytest.mark.parametrize("A,B,w,E,expected", [
-    (1, 0, 1, 1, 0.0),
-    (3, 4, 1, 25, 0.0),
-    (1, 1, 2, 5, 3.0),
+    (1, 0, 1, 0.5, 0.0),
+    (3, 4, 1, 12.5, 0.0),
+    (1, 1, 2, 5, -1.0),
 ])
 def test_constraint_residual(A, B, w, E, expected):
     cfg = classical.ClassicalConfig(A=A, B=B, phi=0, phi_prime=0, omega=w, E=E)
@@ -46,17 +46,17 @@ def test_constraint_residual(A, B, w, E, expected):
 
 
 def test_reduced_coordinate_values():
-    zero = classical.ClassicalConfig(A=0, B=1, phi=0.7, phi_prime=1.1, E=1)
+    zero = classical.ClassicalConfig(A=0, B=1, phi=0.7, phi_prime=1.1, E=0.5)
     assert classical.reduced_coordinate(zero) == 0
-    one = classical.ClassicalConfig(A=1, B=1, phi=0.4, phi_prime=0.4, E=2)
+    one = classical.ClassicalConfig(A=1, B=1, phi=0.4, phi_prime=0.4, E=1)
     assert classical.reduced_coordinate(one) == pytest.approx(1.0)
-    third = classical.ClassicalConfig(A=1, B=2, phi=math.pi / 3, phi_prime=0.0, E=5)
+    third = classical.ClassicalConfig(A=1, B=2, phi=math.pi / 3, phi_prime=0.0, E=2.5)
     assert classical.reduced_coordinate(third) == pytest.approx(
         0.5 * complex(math.cos(math.pi / 3), math.sin(math.pi / 3)))
 
 
 def test_reduced_coordinate_pole():
-    cfg = classical.ClassicalConfig(A=1, B=0, phi=0, phi_prime=0, E=1)
+    cfg = classical.ClassicalConfig(A=1, B=0, phi=0, phi_prime=0, E=0.5)
     with pytest.raises(ChartSingularityError):
         classical.reduced_coordinate(cfg)
 
@@ -74,15 +74,15 @@ def test_reduced_coordinate_gauge_invariance(phi, phi_prime, shift):
 
 
 def test_clock_readout_trivial_cases():
-    cfg = classical.ClassicalConfig(A=1, B=1, phi=0.3, phi_prime=0.3, E=2)
+    cfg = classical.ClassicalConfig(A=1, B=1, phi=0.3, phi_prime=0.3, E=1)
     assert classical.classical_clock_readout(cfg, 1.0) == pytest.approx(1.0)
-    half = classical.ClassicalConfig(A=0.5, B=1, phi=0.2, phi_prime=0.2, E=1.25)
+    half = classical.ClassicalConfig(A=0.5, B=1, phi=0.2, phi_prime=0.2, E=0.625)
     assert classical.classical_clock_readout(half, 0.6) == pytest.approx(0.3)
 
 
 def test_clock_readout_branch_against_root_find():
     # locate tau with q2(tau) = 0 on the decreasing branch, then compare
-    cfg = classical.ClassicalConfig(A=1, B=1, phi=math.pi / 2, phi_prime=0, E=2)
+    cfg = classical.ClassicalConfig(A=1, B=1, phi=math.pi / 2, phi_prime=0, E=1)
     tau0 = brentq(lambda t: classical.trajectory(cfg, t)[2], 1e-6,
                   math.pi - 1e-6)
     q1_true = classical.trajectory(cfg, tau0)[0]
@@ -92,13 +92,13 @@ def test_clock_readout_branch_against_root_find():
 
 
 def test_clock_readout_range_error():
-    cfg = classical.ClassicalConfig(A=1, B=0.5, phi=0, phi_prime=0, E=1.25)
+    cfg = classical.ClassicalConfig(A=1, B=0.5, phi=0, phi_prime=0, E=0.625)
     with pytest.raises(ClockRangeError):
         classical.classical_clock_readout(cfg, 0.6)
 
 
 def test_clock_branch_consistency_on_monotone_half_period():
-    cfg = classical.ClassicalConfig(A=0.6, B=0.8, phi=0.9, phi_prime=0.2, E=1)
+    cfg = classical.ClassicalConfig(A=0.6, B=0.8, phi=0.9, phi_prime=0.2, E=0.5)
     for t in np.linspace(0.01, math.pi - 0.01, 40):
         tau = t - cfg.phi_prime
         q1, _, q2, _ = classical.trajectory(cfg, tau)
@@ -108,9 +108,19 @@ def test_clock_branch_consistency_on_monotone_half_period():
 
 def test_energy_conserved_over_ten_periods():
     cfg = classical.ClassicalConfig(A=0.6, B=0.8, phi=0.4, phi_prime=1.3,
-                                    omega=2.0, E=4.0)
+                                    omega=2.0, E=2.0)
     vals = [classical.energy(cfg, t) for t in np.linspace(0, 10 * math.pi, 400)]
     assert max(vals) - min(vals) < 1e-12
+
+
+@pytest.mark.parametrize("A,B,w", [(0.6, 0.8, 1.0), (1.5, 0.2, 2.0), (0.0, 3.0, 0.7)])
+def test_on_shell_config_has_energy_E(A, B, w):
+    # H = (p^2 + w^2 q^2)/2 on the trajectory equals the E that the constraint puts on shell
+    E = 0.5 * w**2 * (A**2 + B**2)
+    cfg = classical.ClassicalConfig(A=A, B=B, phi=0.4, phi_prime=1.3, omega=w, E=E)
+    assert cfg.is_on_shell()
+    for tau in np.linspace(0, 10 * math.pi, 50):
+        assert classical.energy(cfg, tau) == pytest.approx(E, rel=1e-14)
 
 
 def test_invalid_configs_rejected():

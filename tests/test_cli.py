@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -290,15 +291,18 @@ def test_clock_trace_zero_label(tmp_path, capsys):
 
 
 def test_clock_trace_constant_ratio(tmp_path, capsys):
+    # quantum over classical is G(m)/sqrt(m+1), G(m) = Gamma(m+5/2)/(m+1)!, in any units
     out_file = tmp_path / "trace.csv"
-    code = main(["clock-trace", "--m", "100", "--xi", "1,0",
-                 "--sweep", "tau:0.05:2.9:40", "--out", str(out_file)])
-    capsys.readouterr()
-    assert code == 0
-    ratios = [float(line.split(",")[3])
-              for line in out_file.read_text().strip().splitlines()[2:]]
-    finite = [r for r in ratios if not math.isnan(r)]
-    assert max(finite) - min(finite) < 1e-10
+    for omega, hbar in (("1", "1"), ("1.7", "0.5"), ("1", "0.5")):
+        code = main(["clock-trace", "--m", "100", "--xi", "0.8,0.3", "--omega", omega,
+                     "--hbar", hbar, "--sweep", "tau:0.05:2.9:40", "--out", str(out_file)])
+        capsys.readouterr()
+        assert code == 0
+        ratios = [float(line.split(",")[3])
+                  for line in out_file.read_text().strip().splitlines()[2:]]
+        finite = [r for r in ratios if not math.isnan(r)]
+        assert max(finite) - min(finite) < 1e-10
+        assert finite[0] == pytest.approx(1.0037075188, rel=1e-10)
 
 
 def test_clock_trace_of_label_whose_abs_sq_overflows(capsys):
@@ -310,20 +314,43 @@ def test_clock_trace_of_label_whose_abs_sq_overflows(capsys):
     rows = [{k: float(v) for k, v in zip(header, line.split(","))} for line in lines[2:]]
     assert len(rows) == 2
     for row in rows:
-        # |xi| / sqrt(1+|xi|^2) = 1 to double precision at |xi| = 1e160
+        # |xi| / sqrt(1+|xi|^2) = 1 to double precision at |xi| = 1e160; A = sqrt(2E), E = 5
         assert row["q1_quantum"] == pytest.approx(
-            2.0 * clock.gamma_half_ratio(4) * math.cos(row["tau"]), rel=1e-15)
-        assert row["q1_classical"] == pytest.approx(math.sqrt(5.0) * math.cos(row["tau"]),
+            clock.slice_amplitude(4) * math.cos(row["tau"]), rel=1e-15)
+        assert row["q1_classical"] == pytest.approx(math.sqrt(10.0) * math.cos(row["tau"]),
                                                     rel=1e-15)
         assert math.isfinite(row["ratio"])
 
 
 def test_clock_trace_matches_baseline(capsys):
-    # arg xi of this label differs in the last ulp between math.atan2 and np.arctan2
     code, out, _ = run_cli(["clock-trace", "--m", "7", "--xi=-2.7,1.2", "--phi-prime", "0.4",
                             "--omega", "1.7", "--hbar", "0.5"], capsys)
     assert code == 0
     assert out == (DATA / "clock_trace_m7_baseline.csv").read_text()
+
+
+def test_clock_trace_baseline_matches_mpmath():
+    # with q = sqrt(hbar/2 omega)(a + a^dagger), H = (p^2 + omega^2 q^2)/2 and E = hbar omega (m+1):
+    # q1_quantum = sqrt(2 hbar/omega) G |xi|/sqrt(1+|xi|^2) cos(omega tau + phi' + arg xi),
+    # q1_classical the same with sqrt(2E)/omega for sqrt(2 hbar/omega) G, and
+    # ratio = G/sqrt(m+1), G = Gamma(m+5/2)/(m+1)!; measured within 3.3e-15 of each
+    lines = (DATA / "clock_trace_m7_baseline.csv").read_text().splitlines()
+    with mpmath.workdps(30):
+        omega, hbar, phi_prime, m = mpmath.mpf("1.7"), mpmath.mpf("0.5"), mpmath.mpf("0.4"), 7
+        xi = mpmath.mpc("-2.7", "1.2")
+        g = mpmath.gamma(m + mpmath.mpf(5) / 2) / mpmath.factorial(m + 1)
+        shape = abs(xi) / mpmath.sqrt(1 + abs(xi) ** 2)
+        quantum = mpmath.sqrt(2 * hbar / omega) * g * shape
+        classical = mpmath.sqrt(2 * hbar * omega * (m + 1)) / omega * shape
+        ratio = float(g / mpmath.sqrt(m + 1))
+        assert lines[1] == "tau,q1_quantum,q1_classical,ratio" and len(lines) == 203
+        for line in lines[2:]:
+            tau, q1_quantum, q1_classical, got_ratio = map(float, line.split(","))
+            wave = mpmath.cos(omega * mpmath.mpf(tau) + phi_prime + mpmath.arg(xi))
+            assert abs(q1_quantum - quantum * wave) < 1e-13 * quantum
+            assert abs(q1_classical - classical * wave) < 1e-13 * classical
+            assert got_ratio == pytest.approx(ratio, rel=1e-13)
+    assert ratio == pytest.approx(1.0460381, rel=1e-7)
 
 
 def test_symbols_closed_form_matches_matrix(tmp_path, capsys):
@@ -461,10 +488,10 @@ def test_spin_too_large_for_memory_is_refused_before_any_array(argv, monkeypatch
 
 
 @pytest.mark.parametrize("j, n, gib", [
-    pytest.param("5", "100000", "37.6", id="100000-37.6"),
+    pytest.param("5", "100000", "37.4", id="100000-37.4"),
     pytest.param("5", "1" + "0" * 400, "inf", id="1" + "0" * 400 + "-inf"),
-    # 8.1 GiB on 4j+4 = 404 azimuths instead of the default 400
-    pytest.param("100", "40000", "8.0", id="j100-40000-8.0"),
+    # 8.0 GiB on 4j+4 = 2876 azimuths instead of the default 2700
+    pytest.param("718", "20000", "7.7", id="j718-20000-7.7"),
     # at j = 8e307, 4j+4 and the default azimuth count exceed the float range
     pytest.param("8e+307", "4", "inf", id="j8e+307-4-inf")])
 def test_quad_order_too_large_for_memory_is_refused_before_any_array(j, n, gib, monkeypatch,

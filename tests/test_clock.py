@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spinclock import clock, symbols
+from spinclock import cli, clock, symbols
 from spinclock.coherent import su2_coherent
 from spinclock.errors import ChartSingularityError
 from spinclock.grids import sphere_grid
@@ -37,19 +37,16 @@ def test_deparameterize_array_equals_scalar_calls():
 
 
 def test_deparameterize_q1_matches_closed_form_up_to_constant():
-    # quadrature vs closed form differ by one global constant (the
-    # sqrt(2) position-normalization bookkeeping), independent of xi, tau
+    # the radial rule on the slice of q1's lower symbol gives the closed form itself:
+    # the constant between them is 1, in any units
     m = 15
-    ratios = []
-    for tau in (0.0, 0.9, 2.7):
-        at_slice = clock.deparameterize(symbols.q1_position_symbol, m, tau,
-                                        phi_prime=0.4)
-        for xi in (0.8 + 0j, 0.3 - 1.1j, 2.0 + 0.5j):
-            closed = clock.clock_symbol_q1(xi, m, tau, phi_prime=0.4)
-            if abs(closed) > 1e-10:
-                ratios.append(at_slice(xi) / closed)
-    assert max(ratios) - min(ratios) < 1e-12
-    assert np.mean(ratios) == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+    for omega, hbar in ((1.0, 1.0), (1.7, 0.5)):
+        q1 = lambda xi, r, th: symbols.q1_position_symbol(xi, r, th, omega, hbar)
+        for tau in (0.0, 0.9, 2.7):
+            at_slice = clock.deparameterize(q1, m, tau, phi_prime=0.4, omega=omega)
+            xis = np.array([0.8 + 0j, 0.3 - 1.1j, 2.0 + 0.5j])
+            closed = clock.clock_symbol_q1(xis, m, tau, 0.4, omega, hbar)
+            assert np.max(np.abs(at_slice(xis) - closed)) < 1e-12 * np.max(np.abs(closed))
 
 
 def test_clock_symbol_zero_label():
@@ -58,11 +55,12 @@ def test_clock_symbol_zero_label():
 
 
 def test_clock_symbol_small_m_value():
-    # m = 0, xi = 1, phase 0: Gamma(5/2)/1! * 2/sqrt(2)
-    expected = math.exp(math.lgamma(2.5)) * 2 / math.sqrt(2)
-    assert expected == pytest.approx(1.8800, abs=1e-4)
-    assert clock.clock_symbol_q1(1.0, 0, 0.0) == pytest.approx(expected,
-                                                               rel=1e-13)
+    # m = 0, xi = 1, phase 0: sqrt(hbar/2 omega) Gamma(5/2)/1! * 2/sqrt(2) = Gamma(5/2) = 3 sqrt(pi)/4
+    expected = 3 * math.sqrt(math.pi) / 4
+    assert expected == pytest.approx(1.3293, abs=1e-4)
+    assert clock.clock_symbol_q1(1.0, 0, 0.0) == pytest.approx(expected, rel=1e-13)
+    assert clock.clock_symbol_q1(1.0, 0, 0.0, omega=2.0, hbar=0.5) == pytest.approx(
+        expected / 2, rel=1e-13)
 
 
 def test_clock_symbol_large_m_no_overflow():
@@ -99,34 +97,17 @@ def same_bits(a, b):
 def test_clock_symbol_broadcast_equals_scalar_calls():
     taus = np.array([0.0, 0.35, -2.2, 11.0])
     phis = np.array([0.0, 0.4, -1.3])
-    got = clock.clock_symbol_q1(LABELS[:, None, None], 7, taus[:, None], phis, 1.7)
+    got = clock.clock_symbol_q1(LABELS[:, None, None], 7, taus[:, None], phis, 1.7, 0.5)
     assert got.shape == (len(LABELS), len(taus), len(phis))
-    want = [[[clock.clock_symbol_q1(complex(x), 7, float(t), float(p), 1.7) for p in phis]
+    want = [[[clock.clock_symbol_q1(complex(x), 7, float(t), float(p), 1.7, 0.5) for p in phis]
              for t in taus] for x in LABELS]
     assert same_bits(got, want)
     assert np.isscalar(clock.clock_symbol_q1(-2.7 + 1.2j, 7, 0.3))
 
 
-def test_atan2_matches_math_atan2_bit_for_bit():
-    # signed zeros, infinities, subnormal and far values, and random ones over 600
-    # decades; a column against a row gives 101 x 101 elements, more than two blocks
-    special = [0.0, -0.0, 5e-324, -1e-310, 1e-300, 1.0, -1.0, 1e300, -1.7e308, math.inf, -math.inf]
-    rng = np.random.default_rng(13)
-    values = np.concatenate((special, rng.normal(size=90) * 10.0 ** rng.uniform(-300, 300, 90)))
-    y, x = values[:, None], values[::-1][None, :]
-    want = np.array([[math.atan2(a, b) for b in x[0]] for a in y[:, 0]])
-    assert clock._atan2(y, x).tobytes() == want.tobytes()
-    # non-contiguous views, one label and no labels
-    assert clock._atan2(y[::3], x[:, ::2]).tobytes() == want[::3, ::2].tobytes()
-    got = clock._atan2(-0.0, -1.0)
-    assert got.shape == () and got.tobytes() == np.float64(math.atan2(-0.0, -1.0)).tobytes()
-    assert clock._atan2(np.zeros((0, 3)), x[:, :3]).shape == (0, 3)
-
-
 def test_clock_symbol_quantization_memory_per_node():
-    # verify's clock.operator_quadrature grid at j = 30: 528 rings of 62 nodes.  The
-    # Python floats of math.atan2 live one block at a time: 65 bytes per node measured,
-    # 136 when every label's float was held at once
+    # verify's clock.operator_quadrature grid at j = 30: 528 rings of 62 nodes; 65 bytes
+    # per node measured, which the budget of verify plans as GRID_NODE_BYTES
     j, m = 30, 60
     grid = sphere_grid(j, n_polar=8 * (m + 6), n_azimuthal=m + 2)
     sym = lambda xi: clock.clock_symbol_q1(xi, m, 0.7, phi_prime=0.2)
@@ -137,7 +118,7 @@ def test_clock_symbol_quantization_memory_per_node():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 80 * len(grid)
+    assert peak <= cli.GRID_NODE_BYTES * len(grid)
 
 
 def test_classical_amplitude_broadcast_equals_scalar_calls():
@@ -145,6 +126,20 @@ def test_classical_amplitude_broadcast_equals_scalar_calls():
     assert got.shape == LABELS.shape
     assert same_bits(got, [clock.classical_amplitude(7, complex(x), 1.7, 0.5) for x in LABELS])
     assert np.isscalar(clock.classical_amplitude(7, 1e160 + 0j))
+
+
+@pytest.mark.parametrize("m", [10, 100, 1000])
+def test_classical_limit_amplitude_ratio_is_gamma_ratio(m):
+    # sqrt(2) G(m) sqrt(hbar/omega) over sqrt(2 hbar omega (m+1))/omega: G(m)/sqrt(m+1)
+    # with G(m) = Gamma(m+5/2)/(m+1)!, at any omega
+    with mpmath.workdps(30):
+        want = float(mpmath.gamma(m + mpmath.mpf(5) / 2) / mpmath.factorial(m + 1)
+                     / mpmath.sqrt(m + 1))
+    taus = np.linspace(0, 4 * math.pi, 100)
+    for omega in (1.0, 1.7):
+        report = clock.classical_limit_check(0.9 * np.exp(1.1j), [m], taus, omega=omega)
+        assert report["amplitude_ratio"][0] == pytest.approx(want, rel=1e-12)
+    assert report["limit_ratio"] == 1.0
 
 
 def test_classical_limit_phase_and_amplitude():
@@ -181,12 +176,13 @@ def test_clock_operator_hermitian_traceless(j):
         assert abs(np.trace(op)) < 1e-12
 
 
-def _clock_entries_mpmath(two_j, psi):
-    """C[n, n+1] = (2j+1) Gamma(m+5/2)/(m+1)! sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+1/2) e^{i psi}
-    with m = 2j, to 30 digits."""
+def _clock_entries_mpmath(two_j, psi, omega, hbar):
+    """C[n, n+1] = (2j+1) sqrt(hbar/2 omega) Gamma(m+5/2)/(m+1)! sqrt(C(m,n) C(m,n+1))
+    B(n+2, m-n+1/2) e^{i psi} with m = 2j, to 30 digits."""
     with mpmath.workdps(30):
         m = two_j
-        g = mpmath.gamma(m + mpmath.mpf(5) / 2) / mpmath.factorial(m + 1)
+        g = (mpmath.sqrt(mpmath.mpf(hbar) / (2 * mpmath.mpf(omega)))
+             * mpmath.gamma(m + mpmath.mpf(5) / 2) / mpmath.factorial(m + 1))
         phase = mpmath.expj(psi)
         return [complex((m + 1) * g * mpmath.sqrt(mpmath.binomial(m, n) * mpmath.binomial(m, n + 1))
                         * mpmath.beta(n + 2, m - n + mpmath.mpf(1) / 2) * phase)
@@ -195,14 +191,14 @@ def _clock_entries_mpmath(two_j, psi):
 
 @pytest.mark.parametrize("j", [0.5, 5.0, 50.0, 1000.0])
 def test_clock_operator_matches_mpmath_beta_expression(j):
-    # measured worst relative error of an entry: 0.3, 2.1, 5.1 and 12.2 (2j+1) eps
+    # measured worst relative error of an entry: 0.9, 2.1, 5.1 and 12.2 (2j+1) eps
     # at j = 1/2, 5, 50 and 1000, from the log-Gamma sums of the binomials and the
     # Beta function; a 1e-13 change to the constant fails j = 5
     two_j = int(2 * j)
-    tau, phip, omega = 0.7, 0.3, 1.4
-    op = clock.clock_operator(j, tau, phip, omega)
+    tau, phip, omega, hbar = 0.7, 0.3, 1.4, 0.6
+    op = clock.clock_operator(j, tau, phip, omega, hbar)
     n = np.arange(two_j)
-    want = np.array(_clock_entries_mpmath(two_j, omega * tau + phip))
+    want = np.array(_clock_entries_mpmath(two_j, omega * tau + phip, omega, hbar))
     rel = np.max(np.abs(op[n, n + 1] - want) / np.abs(want))
     assert rel < 32 * (two_j + 1) * np.finfo(float).eps
     # exactly Hermitian, traceless and zero beyond the first off-diagonals
@@ -218,12 +214,12 @@ def test_clock_operator_is_limit_of_sum_over_grid_nodes(j):
     # grids: sin(Theta/2) in the symbol is not a polynomial in cos(Theta), so the
     # sum converges like n_polar^-3, about 8x per doubling of the rings
     two_j = int(2 * j)
-    tau, phip, omega = 0.7, 0.3, 1.4
-    want = clock.clock_operator(j, tau, phip, omega)
+    tau, phip, omega, hbar = 0.7, 0.3, 1.4, 0.6
+    want = clock.clock_operator(j, tau, phip, omega, hbar)
     errs = []
     for k in (1, 2, 4):
         grid = sphere_grid(j, n_polar=k * (two_j + 6))
-        coeff = grid.weights * clock.clock_symbol_q1(grid.xi, two_j, tau, phip, omega)
+        coeff = grid.weights * clock.clock_symbol_q1(grid.xi, two_j, tau, phip, omega, hbar)
         vecs = su2_coherent(grid.xi, j)
         got = (two_j + 1) / np.pi * np.einsum("k,kn,km->nm", coeff, vecs, vecs.conj())
         errs.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))

@@ -234,7 +234,7 @@ def test_second_operator_at_the_same_spin_computes_no_amplitudes_or_lgamma(monke
     assert tables == [] and lgammas == []
     # the counters see what the kernels call
     kernels.coherent_amplitudes(0.5, 7)
-    clock.gamma_half_ratio(7)
+    clock.slice_amplitude(7)
     assert len(tables) == 1 and len(lgammas) == 2
 
 

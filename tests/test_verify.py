@@ -1,6 +1,6 @@
 import pytest
 
-from spinclock import clock, verify
+from spinclock import classical, clock, verify
 from spinclock.grids import sphere_grid
 
 
@@ -30,6 +30,16 @@ def test_clock_quadrature_check_fails_on_a_wrong_constant(monkeypatch):
     assert checks["clock.operator_covariance"].passed
     assert not checks["clock.operator_quadrature"].passed
     assert checks["clock.operator_quadrature"].measured > 9e-5
+
+
+def test_on_shell_energy_check_fails_without_the_half(monkeypatch):
+    # H = (p^2 + omega^2 q^2)/2, so a residual of omega^2 (A^2 + B^2) - E puts verify's
+    # config (A^2 + B^2 = 1, E = 1/2) off shell
+    checks = _by_name(verify.run_checks(5.0))
+    assert checks["classical.on_shell_energy"].passed
+    monkeypatch.setattr(classical, "constraint_residual",
+                        lambda cfg: (cfg.A * cfg.omega) ** 2 + (cfg.B * cfg.omega) ** 2 - cfg.E)
+    assert not _by_name(verify.run_checks(5.0))["classical.on_shell_energy"].passed
 
 
 def test_berezin_check_fails_on_under_resolved_grid():
