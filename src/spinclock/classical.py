@@ -62,14 +62,14 @@ def trajectory(cfg: ClassicalConfig, tau: float) -> tuple[float, float, float, f
     )
 
 
-def amplitude_energy(radius: float, omega: float) -> float:
-    """omega^2 R^2 / 2: the energy of amplitudes A, B with A^2 + B^2 = R^2."""
-    return 0.5 * omega**2 * radius**2
+def amplitude_energy(amp2: float, omega: float) -> float:
+    """omega^2 (A^2 + B^2)/2: the energy of amplitudes A, B with A^2 + B^2 = amp2."""
+    return 0.5 * omega**2 * amp2
 
 
 def constraint_residual(cfg: ClassicalConfig) -> float:
     """omega^2 (A^2 + B^2)/2 - E; zero exactly on shell."""
-    return amplitude_energy(math.hypot(cfg.A, cfg.B), cfg.omega) - cfg.E
+    return amplitude_energy(cfg.A * cfg.A + cfg.B * cfg.B, cfg.omega) - cfg.E
 
 
 def reduced_coordinate(cfg: ClassicalConfig) -> complex:

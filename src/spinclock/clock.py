@@ -24,10 +24,10 @@ classical_limit_check do.  Where |xi|^2 overflows, |xi| / sqrt(1+|xi|^2)
 comes from the antipodal label 1/xi, by the rule spin_symbols_closed_form
 uses too.
 
-clock_operator quantizes this symbol exactly, by a Beta function
+clock_operator quantizes this symbol at hbar = 1 exactly, by a Beta function
 (Berezin, Commun. Math. Phys. 40, 153, 1975), and needs no grid.  Its 2j
 magnitudes depend on j alone: a bounded LRU cache keeps them per 2j as a
-read-only array, so each call only applies the scale sqrt(hbar/omega) and
+read-only array, so each call only applies the scale sqrt(1/omega) and
 the phase e^{i(omega tau+phi')} and writes the two off-diagonals of a new
 matrix.
 
@@ -91,7 +91,10 @@ def clock_symbol_q1(xi, m: int, tau, phi_prime=0.0, omega: float = 1.0, hbar: fl
     omega*tau + phi' + arg xi and amplitude
     sqrt(hbar/omega) slice_amplitude(m) |xi|/sqrt(1+|xi|^2).  xi, tau and
     phi_prime broadcast against each other, and a 0-d result is a scalar.
-    Each element has the bits of a call with scalar arguments.
+    Each element has the bits of a call with scalar arguments as long as
+    np.angle takes the same arctan2 loop for 0-d, contiguous and strided
+    labels, as it does on the numpy in use where
+    test_clock_symbol_broadcast_equals_scalar_calls passes.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -104,8 +107,8 @@ def clock_symbol_q1(xi, m: int, tau, phi_prime=0.0, omega: float = 1.0, hbar: fl
 def classical_amplitude(m: int, xi, omega: float = 1.0, hbar: float = 1.0):
     """Amplitude A of oscillator 1 for energy E = (m+1) hbar omega and ratio |xi|.
 
-    A = R |xi|/sqrt(1+|xi|^2), R the radius sqrt(A^2 + B^2) whose
-    classical.amplitude_energy is E.  xi is a scalar or an array of labels;
+    A = R |xi|/sqrt(1+|xi|^2), where R^2 = A^2 + B^2 is the squared
+    amplitude whose classical.amplitude_energy is E.  xi is a scalar or an array of labels;
     the result has its shape.  Raises ValueError where R leaves the float
     range, as for omega = 1e200 or 1e-200, whose square overflows or
     underflows.
@@ -161,15 +164,15 @@ def classical_limit_check(xi: complex, m_list, tau_grid,
 
 
 def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
-                   omega: float = 1.0, hbar: float = 1.0) -> np.ndarray:
+                   omega: float = 1.0) -> np.ndarray:
     """Operator of the clock symbol: ((2j+1)/pi) int q1'(xi;tau) |xi><xi| dmu, exactly.
 
-    With m = 2j, G = slice_amplitude(m)/sqrt(2) and psi = omega*tau + phi',
-    the term sqrt(hbar/2 omega) G xi e^{i psi} / sqrt(1+|xi|^2) of q1' pairs
-    only with <n|xi><xi|n+1>, and its radial integral in |xi|^2 is a Beta
-    function:
+    q1' is clock_symbol_q1 at hbar = 1.  With m = 2j,
+    G = slice_amplitude(m)/sqrt(2) and psi = omega*tau + phi', the term
+    G xi e^{i psi} / sqrt(2 omega (1+|xi|^2)) of q1' pairs only with
+    <n|xi><xi|n+1>, and its radial integral in |xi|^2 is a Beta function:
 
-        C[n, n+1] = (2j+1) sqrt(hbar/2 omega) G sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+1/2) e^{i psi},
+        C[n, n+1] = (2j+1) G sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+1/2) e^{i psi} / sqrt(2 omega),
 
     C[n+1, n] its conjugate and every other entry exactly 0.
     """
@@ -178,7 +181,7 @@ def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
     out = np.zeros((dim, dim), dtype=np.complex128)
     # flat views: entry (n, n') of out is element n * dim + n'
     above, below = out.reshape(-1)[1::dim + 1], out.reshape(-1)[dim::dim + 1]
-    above[:] = _clock_magnitudes(two_j) * (math.sqrt(hbar / omega)
+    above[:] = _clock_magnitudes(two_j) * (math.sqrt(1.0 / omega)
                                            * np.exp(1j * (omega * tau + phi_prime)))
     below[:] = above.conj()
     return out
@@ -186,7 +189,7 @@ def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
 
 @functools.lru_cache(maxsize=16)
 def _clock_magnitudes(two_j: int) -> np.ndarray:
-    """|C[n, n+1]| of clock_operator at hbar = omega for n = 0..2j-1; cached per 2j, read-only."""
+    """|C[n, n+1]| of clock_operator at omega = 1 for n = 0..2j-1; cached per 2j, read-only."""
     log_beta = np.array([math.lgamma(k + 2.0) + math.lgamma(two_j - k + 0.5)
                          for k in range(two_j)]) - math.lgamma(two_j + 2.5)
     half = kernels._log_binomial_halves(two_j)

@@ -102,6 +102,11 @@ def test_clock_symbol_broadcast_equals_scalar_calls():
     want = [[[clock.clock_symbol_q1(complex(x), 7, float(t), float(p), 1.7, 0.5) for p in phis]
              for t in taus] for x in LABELS]
     assert same_bits(got, want)
+    # labels read through a stride, as a column of a 2-d array is
+    strided = np.stack([LABELS, LABELS[::-1]], axis=1)[:, 0]
+    assert not strided.flags.c_contiguous
+    assert same_bits(clock.clock_symbol_q1(strided, 7, 0.35, 0.4, 1.7, 0.5),
+                     np.asarray(want)[:, 1, 1])
     assert np.isscalar(clock.clock_symbol_q1(-2.7 + 1.2j, 7, 0.3))
 
 
@@ -176,12 +181,12 @@ def test_clock_operator_hermitian_traceless(j):
         assert abs(np.trace(op)) < 1e-12
 
 
-def _clock_entries_mpmath(two_j, psi, omega, hbar):
-    """C[n, n+1] = (2j+1) sqrt(hbar/2 omega) Gamma(m+5/2)/(m+1)! sqrt(C(m,n) C(m,n+1))
+def _clock_entries_mpmath(two_j, psi, omega):
+    """C[n, n+1] = (2j+1) sqrt(1/2 omega) Gamma(m+5/2)/(m+1)! sqrt(C(m,n) C(m,n+1))
     B(n+2, m-n+1/2) e^{i psi} with m = 2j, to 30 digits."""
     with mpmath.workdps(30):
         m = two_j
-        g = (mpmath.sqrt(mpmath.mpf(hbar) / (2 * mpmath.mpf(omega)))
+        g = (mpmath.sqrt(1 / (2 * mpmath.mpf(omega)))
              * mpmath.gamma(m + mpmath.mpf(5) / 2) / mpmath.factorial(m + 1))
         phase = mpmath.expj(psi)
         return [complex((m + 1) * g * mpmath.sqrt(mpmath.binomial(m, n) * mpmath.binomial(m, n + 1))
@@ -195,10 +200,10 @@ def test_clock_operator_matches_mpmath_beta_expression(j):
     # at j = 1/2, 5, 50 and 1000, from the log-Gamma sums of the binomials and the
     # Beta function; a 1e-13 change to the constant fails j = 5
     two_j = int(2 * j)
-    tau, phip, omega, hbar = 0.7, 0.3, 1.4, 0.6
-    op = clock.clock_operator(j, tau, phip, omega, hbar)
+    tau, phip, omega = 0.7, 0.3, 1.4
+    op = clock.clock_operator(j, tau, phip, omega)
     n = np.arange(two_j)
-    want = np.array(_clock_entries_mpmath(two_j, omega * tau + phip, omega, hbar))
+    want = np.array(_clock_entries_mpmath(two_j, omega * tau + phip, omega))
     rel = np.max(np.abs(op[n, n + 1] - want) / np.abs(want))
     assert rel < 32 * (two_j + 1) * np.finfo(float).eps
     # exactly Hermitian, traceless and zero beyond the first off-diagonals
@@ -214,12 +219,12 @@ def test_clock_operator_is_limit_of_sum_over_grid_nodes(j):
     # grids: sin(Theta/2) in the symbol is not a polynomial in cos(Theta), so the
     # sum converges like n_polar^-3, about 8x per doubling of the rings
     two_j = int(2 * j)
-    tau, phip, omega, hbar = 0.7, 0.3, 1.4, 0.6
-    want = clock.clock_operator(j, tau, phip, omega, hbar)
+    tau, phip, omega = 0.7, 0.3, 1.4
+    want = clock.clock_operator(j, tau, phip, omega)
     errs = []
     for k in (1, 2, 4):
         grid = sphere_grid(j, n_polar=k * (two_j + 6))
-        coeff = grid.weights * clock.clock_symbol_q1(grid.xi, two_j, tau, phip, omega, hbar)
+        coeff = grid.weights * clock.clock_symbol_q1(grid.xi, two_j, tau, phip, omega)
         vecs = su2_coherent(grid.xi, j)
         got = (two_j + 1) / np.pi * np.einsum("k,kn,km->nm", coeff, vecs, vecs.conj())
         errs.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
