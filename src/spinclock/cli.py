@@ -197,13 +197,15 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, allow_abbrev=False)
         _add_common(p)
         p.set_defaults(func=fn)
+        # overlap reads its one --xi-prime only without a --sweep
+        group = p.add_mutually_exclusive_group() if name == "overlap" else p
         if name != "verify":
-            p.add_argument("--sweep", type=_parse_sweep, help="sweep as VAR:MIN:MAX:COUNT")
+            group.add_argument("--sweep", type=_parse_sweep, help="sweep as VAR:MIN:MAX:COUNT")
         if name == "overlap":
             p.add_argument("--xi", type=_parse_complex, default=0j,
                            help="chart coordinate as RE,IM (default 0,0)")
-            p.add_argument("--xi-prime", type=_parse_complex,
-                           help="second label as RE,IM (alternative to --sweep)")
+            group.add_argument("--xi-prime", type=_parse_complex,
+                               help="second label as RE,IM (alternative to --sweep)")
         if name == "figure":
             p.add_argument("which", type=int, choices=(1, 2))
             p.add_argument("--theta", type=_parse_finite,
@@ -211,7 +213,7 @@ def build_parser() -> _Parser:
             p.add_argument("--xi-mag", type=_parse_finite,
                            help="reference |xi| (figure 2 only, default 1)")
             p.add_argument("--antipodal", action="store_true",
-                           help="interpret angles on the swapped-oscillator chart")
+                           help="read angles in the chart centred on oscillator 1")
         if name == "clock-trace":
             p.add_argument("--m", type=int, help="total quanta (alias of --m-prime)")
             p.add_argument("--xi", type=_parse_complex, default=1 + 0j,
@@ -257,12 +259,9 @@ def cmd_figure(args) -> int:
     if args.which == 1:
         if args.xi_mag is not None:
             raise SpinclockError("figure 1 does not read --xi-mag")
+        # |cos(theta' - theta)|^{2j} reads the same in either chart: --antipodal names it
         theta = math.pi / 4 if args.theta is None else args.theta
-        if args.antipodal:
-            theta = math.pi / 2 - theta
         grid = _sweep_grid(args, "theta_prime", (theta - 0.75, theta + 0.75, 201))
-        if args.antipodal:
-            grid = math.pi / 2 - grid
         trace = clock.amplitude_correlation(theta, j, grid)
         sweep_name = "theta_prime"
     else:

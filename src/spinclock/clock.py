@@ -239,8 +239,8 @@ def amplitude_correlation(theta_ref: float, j: float,
     pole = math.pi / 2.0
     if min(abs(theta_ref - pole), abs(theta_ref + pole)) < 1e-6:
         raise ChartSingularityError(
-            "theta_ref at the chart pole; parametrize from the antipodal chart "
-            "(swap the oscillators, theta -> pi/2 - theta)")
+            "theta_ref at the chart pole; parametrize from the other chart (swap the "
+            "oscillators, theta -> pi/2 - theta, which toggling --antipodal does)")
     ov = np.abs(np.cos(theta_sweep - theta_ref)) ** two_j
     sigma2_pred = 1.0 / (2.0 * j)
     sigma2_fit, fitted = fit_gaussian_width(theta_sweep, ov)

@@ -1,9 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.optimize import brentq
 
 from spinclock import classical
 from spinclock.errors import ChartSingularityError, ClockRangeError
@@ -83,8 +83,8 @@ def test_clock_readout_trivial_cases():
 def test_clock_readout_branch_against_root_find():
     # locate tau with q2(tau) = 0 on the decreasing branch, then compare
     cfg = classical.ClassicalConfig(A=1, B=1, phi=math.pi / 2, phi_prime=0, E=1)
-    tau0 = brentq(lambda t: classical.trajectory(cfg, t)[2], 1e-6,
-                  math.pi - 1e-6)
+    tau0 = float(mpmath.findroot(lambda t: classical.trajectory(cfg, float(t))[2],
+                                 (1e-6, math.pi - 1e-6), solver="illinois"))
     q1_true = classical.trajectory(cfg, tau0)[0]
     assert classical.classical_clock_readout(cfg, 0.0) == pytest.approx(q1_true,
                                                                        abs=1e-12)

@@ -24,7 +24,10 @@ README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # the parser's own usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -125,8 +128,10 @@ def test_spin_that_is_not_a_half_integer_is_usage_error(argv, capsys):
 
 
 def test_missing_spin_is_usage_error(capsys):
-    code, _, _ = run_cli(["overlap"], capsys)
+    code, out, err = run_cli(["overlap"], capsys)
     assert code == 1
+    assert out == ""
+    assert "one of --j / --m-prime is required" in err
 
 
 def test_bad_subcommand_exits_one():
@@ -135,11 +140,16 @@ def test_bad_subcommand_exits_one():
     assert proc.returncode == 1
 
 
-def test_zero_width_sweep_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["figure", "1", "--j", "10", "--sweep", "theta_prime:0.5:0.5:10"])
-    assert exc.value.code == 1
-    capsys.readouterr()
+@pytest.mark.parametrize("sweep,message", [
+    ("theta_prime:0.5:0.5:10", "sweep needs MAX > MIN"),
+    ("theta_prime:0:1", "sweep must be VAR:MIN:MAX:COUNT"),
+    ("theta_prime:0:1:1", "sweep count must be >= 2"),
+], ids=["zero-width", "three-fields", "one-point"])
+def test_malformed_sweep_is_usage_error(sweep, message, capsys):
+    code, out, err = run_cli(["figure", "1", "--j", "10", "--sweep", sweep], capsys)
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -268,6 +278,39 @@ def test_figure_chart_pole_guidance(capsys):
                             "--theta", repr(math.pi / 2)], capsys)
     assert code == 1
     assert "antipodal" in err
+
+
+def test_figure1_antipodal_reads_theta_in_the_chart_it_names(capsys):
+    # |cos(theta' - theta)|^{2j} reads the same in either chart: only the label changes
+    argv = ["figure", "1", "--j", "50", "--theta", "0.3"]
+    code, primary, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, antipodal, _ = run_cli(argv + ["--antipodal"], capsys)
+    assert code == 0
+    config, rows = antipodal.split("\n", 1)
+    assert rows == primary.split("\n", 1)[1]
+    assert json.loads(config.removeprefix("# config ")) == dict(
+        json.loads(primary.split("\n", 1)[0].removeprefix("# config ")), chart="antipodal")
+    cols = _columns(antipodal)
+    overlap = [float(v) for v in cols["overlap_abs"]]
+    peak = int(np.argmax(overlap))
+    assert overlap[peak] == pytest.approx(1.0, abs=1e-12)
+    assert float(cols["theta_prime"][peak]) == pytest.approx(0.3, abs=1e-12)
+    assert float(cols["sigma2_fit"][0]) == pytest.approx(0.01, rel=0.05)
+    # the pole of the primary chart is a regular point of the antipodal one
+    assert run_cli(["figure", "1", "--j", "10", "--theta", "0", "--antipodal"], capsys)[0] == 0
+    code, _, err = run_cli(["figure", "1", "--j", "10", "--theta", repr(math.pi / 2),
+                            "--antipodal"], capsys)
+    assert code == 1
+    assert "--antipodal" in err and "the antipodal chart" not in err
+
+
+def test_figure2_antipodal_keeps_its_rows(capsys):
+    code, out, _ = run_cli(["figure", "2", "--j", "50", "--xi-mag", "1", "--antipodal"], capsys)
+    assert code == 0
+    baseline = (DATA / "figure2_j50_baseline.csv").read_text()
+    assert out.split("\n", 1)[1] == baseline.split("\n", 1)[1]
+    assert '"chart": "antipodal"' in out.split("\n", 1)[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -607,13 +650,18 @@ def test_config_sweep_sweeps(tmp_path, capsys):
     assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.5, 1.0]
 
 
-def test_config_non_finite_value_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("text,message", [
+    ('{"j": 2, "xi": "nan,0"}', "finite"),
+    ('{"j": 2', "--config"),
+    ("[2]", "not a JSON object"),
+], ids=["non-finite", "not-json", "not-an-object"])
+def test_config_file_it_cannot_read_is_usage_error(text, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"j": 2, "xi": "nan,0"}))
-    with pytest.raises(SystemExit) as exc:
-        main(["overlap", "--config", str(cfg)])
-    assert exc.value.code == 1
-    assert "finite" in capsys.readouterr().err
+    cfg.write_text(text)
+    code, out, err = run_cli(["overlap", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -622,12 +670,17 @@ def test_config_non_finite_value_is_usage_error(tmp_path, capsys):
     ["figure", "1", "--j", "10", "--xi", "2"],
     ["symbols", "--j", "2", "--phi-prime", "0.5"],
     ["overlap", "--j", "2", "--quad-order", "4"],
+    ["overlap", "--j", "1", "--xi-prime", "5,0", "--sweep", "xi_prime:0:1:3"],
 ])
 def test_option_the_subcommand_does_not_read_is_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 1
-    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    # overlap reads --xi-prime only when it does not sweep
+    if "--xi-prime" in argv:
+        assert "argument --sweep: not allowed with argument --xi-prime" in err
+    else:
+        assert "unrecognized arguments" in err
 
 
 def test_output_deterministic_across_runs(tmp_path, capsys):
