@@ -68,6 +68,14 @@ def _parse_positive(text: str) -> float:
     return float(text)
 
 
+def _parse_seed(text: str) -> int:
+    # random.Random(-s) draws what random.Random(s) draws
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return seed
+
+
 def _parse_sweep(text: str) -> tuple[str, float, float, int]:
     parts = text.split(":")
     if len(parts) != 4:
@@ -182,7 +190,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--hbar", type=_parse_positive, default=1.0, help="Planck constant (default 1)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=0, help="seed for property sampling")
+    p.add_argument("--seed", type=_parse_seed, default=0,
+                   help="seed of verify's label draws (default 0); other commands echo it")
     p.add_argument("--config", help="JSON config file (flags override it)")
 
 

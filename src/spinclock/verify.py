@@ -3,6 +3,7 @@ from the CLI (`spinclock verify`) with a machine-readable report.
 """
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +48,18 @@ def _berezin_check(j: float, grid: SphereGrid) -> CheckResult:
                   np.max(np.abs(upper - j / (j + 1) * cos_theta(x))), 16 * EPS * (2 * j + 1))
 
 
+def _labels(rand: random.Random, count: int) -> np.ndarray:
+    """count complex labels, each complex(gauss, gauss) from rand in turn."""
+    return np.array([complex(rand.gauss(0.0, 1.0), rand.gauss(0.0, 1.0))
+                     for _ in range(count)])
+
+
 def run_checks(j: float = 5.0, seed: int = 0,
                quad_order: int | None = None) -> list[CheckResult]:
     """Run the full invariant suite at spin j; returns one result per check."""
     two_j = _check_two_j(j)
-    rng = np.random.default_rng(seed)
+    # the standard library's generator: numpy.random would cost the process 6 MiB of RSS
+    rand = random.Random(seed)
     grid = sphere_grid(j, n_polar=quad_order)
     results: list[CheckResult] = []
 
@@ -97,14 +105,13 @@ def run_checks(j: float = 5.0, seed: int = 0,
     gauge_err = 0.0
     factor_err = 0.0
     for _ in range(50):
-        alpha = complex(rng.normal(), rng.normal())
-        beta = complex(rng.normal(), rng.normal())
+        alpha, beta = _labels(rand, 2).tolist()
         if abs(beta) < 1e-3:
             continue
         scale = math.sqrt((two_j + 1) / (abs(alpha) ** 2 + abs(beta) ** 2))
         alpha, beta = scale * alpha, scale * beta
         amps, _ = coherent.project_coherent(alpha, beta, two_j)
-        th0 = rng.uniform(0, 2 * math.pi)
+        th0 = rand.uniform(0, 2 * math.pi)
         amps_rot, _ = coherent.project_coherent(alpha * np.exp(1j * th0),
                                                 beta * np.exp(1j * th0), two_j)
         gauge_err = max(gauge_err,
@@ -116,9 +123,8 @@ def run_checks(j: float = 5.0, seed: int = 0,
     results.append(_check("coherent.gauge_covariance", gauge_err, 1e-13))
     results.append(_check("coherent.gauge_phase_factoring", factor_err, 1e-12))
 
-    # overlap closed form vs explicit inner products; the view draws the
-    # labels as complex(normal, normal) pairs in the order of scalar draws
-    x1, x2 = rng.normal(size=(200, 4)).view(complex).T
+    # overlap closed form vs explicit inner products
+    x1, x2 = _labels(rand, 400).reshape(2, 200)
     explicit = np.einsum("kn,kn->k", coherent.su2_coherent(x1, j).conj(),
                          coherent.su2_coherent(x2, j))
     closed = coherent.overlap(x1, x2, j)
@@ -155,7 +161,7 @@ def run_checks(j: float = 5.0, seed: int = 0,
     # five labels per c along axis 1
     c = np.array([0.0, 0.7, 2.4])[:, None, None]
     reduced = symbols.project_lower_symbol(lambda xi, r, th: np.sqrt(r) * np.cos(th + c), two_j)
-    null_err = np.max(np.abs(reduced(rng.normal(size=(3, 5, 2)).view(complex)[..., 0])))
+    null_err = np.max(np.abs(reduced(_labels(rand, 15).reshape(3, 5))))
     results.append(_check("symbols.gauge_average_null", null_err, 1e-14))
     # constraint peaking for o = r
     peak_err = 0.0
@@ -166,7 +172,7 @@ def run_checks(j: float = 5.0, seed: int = 0,
     results.append(_check("symbols.constraint_peaking", peak_err, 1e-12))
     # spin symbols closed form vs matrix expectations
     if two_j >= 1:
-        x = rng.normal(size=(20, 2)).view(complex)[:, 0]
+        x = _labels(rand, 20)
         cf = symbols.spin_symbols_closed_form(x, j)
         sym_err = max(np.max(np.abs(symbols.upper_symbol(mat, x, j) - val))
                       for val, mat in zip(cf, (s1, s2, s3)))

@@ -186,6 +186,18 @@ def test_non_finite_input_is_usage_error(argv, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "-1"],
+    ["overlap", "--j", "1", "--seed=-1"],
+])
+def test_negative_seed_is_usage_error(argv, capsys):
+    # random.Random(-s) draws what random.Random(s) draws
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "argument --seed: '-1' is not an integer >= 0" in err
+
+
 @pytest.mark.parametrize("omega", ["1e200", "1e-200"])
 def test_omega_whose_square_leaves_the_float_range_is_an_error(omega, capsys):
     code, out, err = run_cli(["clock-trace", "--m", "10", "--omega", omega,

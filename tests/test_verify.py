@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import pytest
 
 from spinclock import classical, clock, verify
@@ -56,3 +60,37 @@ def test_berezin_error_is_rounding_of_size_2j_plus_1_eps(j, low, high):
     check = verify._berezin_check(j, sphere_grid(j))
     assert check.tol == 16 * verify.EPS * (2 * j + 1)
     assert low < check.measured / check.tol < high, check.line()
+
+
+def test_no_command_imports_numpy_random():
+    # numpy.random adds 6 MiB of RSS and about 12 ms of import to a cold process
+    code = ("import json, os, runpy, sys\n"
+            "from spinclock import verify\n"
+            "loaded = {}\n"
+            "for argv in (['verify', '--j', '5'], ['figure', '1', '--j', '50'],\n"
+            "             ['figure', '2', '--j', '50'], ['overlap', '--j', '10'],\n"
+            "             ['clock-trace', '--m', '100'], ['symbols', '--j', '20']):\n"
+            "    sys.argv = ['spinclock', *argv, '--out', os.devnull]\n"
+            "    try:\n"
+            "        runpy.run_module('spinclock', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, argv\n"
+            "    loaded[' '.join(argv)] = 'numpy.random' in sys.modules\n"
+            "verify.run_checks(5, seed=3)\n"
+            "loaded['run_checks'] = 'numpy.random' in sys.modules\n"
+            "print(json.dumps(loaded))\n")
+    proc = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True)
+    loaded = json.loads(proc.stdout)
+    assert len(loaded) == 7
+    assert not any(loaded.values()), loaded
+
+
+def test_same_seed_gives_the_same_checks():
+    assert verify.run_checks(5.0, seed=7) == verify.run_checks(5.0, seed=7)
+
+
+def test_seeds_draw_different_labels():
+    overlap = [_by_name(verify.run_checks(5.0, seed=seed))["coherent.overlap_closed_form"]
+               for seed in (0, 1)]
+    assert overlap[0].measured != overlap[1].measured
