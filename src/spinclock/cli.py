@@ -324,7 +324,7 @@ def cmd_symbols(args) -> int:
     cols.update({f"s{k}_closed": list(s)
                  for k, s in enumerate(symbols.spin_symbols_closed_form(xis, j), 1)})
     # at j = 0 the spin matrices are 1 x 1 zeros, so the upper symbols are 0
-    cols.update({f"s{k}_upper": list(symbols.upper_symbol(mat, xis, j).real)
+    cols.update({f"s{k}_upper": list(symbols.upper_symbol(mat, xis).real)
                  for k, mat in enumerate(fock.spin_operators(_check_two_j(j)), 1)})
     _write_table(cols, _meta(args, command="symbols", j=j), args.format, args.out)
     return 0

@@ -43,9 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, kernels
-from .coherent import _antipodal_where_far
 from .errors import ChartSingularityError
-from .grids import _check_two_j, radial_grid
+from .grids import _check_m, _check_two_j, radial_grid
 from .symbols import FullLowerSymbol, ReducedLowerSymbol, _radial_mean
 
 
@@ -96,8 +95,7 @@ def clock_symbol_q1(xi, m: int, tau, phi_prime=0.0, omega: float = 1.0, hbar: fl
     labels, as it does on the numpy in use where
     test_clock_symbol_broadcast_equals_scalar_calls passes.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_m(m)
     xi = np.asarray(xi, dtype=np.complex128)
     num, den = _modulus_over_norm(xi)
     phase = omega * np.asarray(tau, dtype=float) + phi_prime + np.angle(xi)
@@ -129,12 +127,10 @@ def _modulus_over_norm(xi) -> tuple[np.ndarray, np.ndarray]:
     """|xi| / sqrt(1+|xi|^2) as (numerator, denominator), elementwise.
 
     Where |xi|^2 overflows the ratio comes from the antipodal label 1/xi
-    as 1 / sqrt(1+|1/xi|^2).  |xi| and |xi|^2 round as Python's abs(xi)
-    and abs(xi) ** 2.
+    as 1 / sqrt(1+|1/xi|^2).
     """
-    u, far = _antipodal_where_far(xi)
-    a = np.hypot(u.real, u.imag)
-    return np.where(far, 1.0, a), np.sqrt(1.0 + np.float_power(a, 2))
+    _, far, a, a_sq = kernels.antipodal_where_far(xi)
+    return np.where(far, 1.0, a), np.sqrt(1.0 + a_sq)
 
 
 def classical_limit_check(xi: complex, m_list, tau_grid,
@@ -271,6 +267,7 @@ def phase_correlation(xi_mag: float, j: float,
     if not 0.0 < t < math.inf:
         raise ValueError(f"|xi|^2 leaves the float range at xi_mag={xi_mag!r}")
     dphi_sweep = np.asarray(dphi_sweep, dtype=float)
+    # np.abs: 1 + t e^{i dphi} is not a chart label, and tests/data pins figure 2's bits
     ov = (np.abs(1.0 + t * np.exp(1j * dphi_sweep)) / (1.0 + t)) ** two_j
     e1 = two_j * t / (1.0 + t)
     e2 = two_j / (1.0 + t)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ChartSingularityError
-from .grids import SphereGrid, _check_two_j, sphere_grid
+from .grids import SphereGrid, _check_m, _check_two_j, sphere_grid
 
 
 def su2_coherent(xi, j: float) -> np.ndarray:
@@ -94,33 +94,9 @@ def overlap(xi1, xi2, j: float):
     log_inner = np.where(
         far, np.log(np.where(far, xi1, 1.0).conj()) + np.log(np.where(far, xi2, 1.0)),
         np.log(np.where(orthogonal | far, 1.0, inner)))
-    log_ov = two_j * log_inner - 0.5 * two_j * (_log1p_abs_sq(xi1) + _log1p_abs_sq(xi2))
+    log_norms = [kernels.log1p_square(*kernels.abs_and_square(x)) for x in (xi1, xi2)]
+    log_ov = two_j * log_inner - 0.5 * two_j * (log_norms[0] + log_norms[1])
     return np.where(orthogonal, 0.0, np.exp(log_ov))[()]
-
-
-def _log1p_abs_sq(z: np.ndarray) -> np.ndarray:
-    """log(1 + |z|^2) with |z|^2 rounded as Python's abs(z) ** 2 rounds it.
-
-    np.hypot rounds |z| as abs does, and float_power calls the C pow that
-    ** calls; np.abs and ** 2 (np.square) on arrays each differ from them
-    in the last ulp for some z.  Finite for every finite |z|.
-    """
-    a = np.hypot(z.real, z.imag)
-    with np.errstate(over="ignore"):  # log1p_square takes over where |z|^2 overflows
-        return kernels.log1p_square(a, np.float_power(a, 2))
-
-
-def _antipodal_where_far(xi) -> tuple[np.ndarray, np.ndarray]:
-    """(u, far): the label xi, or its antipodal label 1/xi where |xi|^2 overflows.
-
-    far marks the labels whose |xi|^2 overflows, rounded as in _log1p_abs_sq.
-    np.reciprocal rounds as Python's 1 / xi but for the sign of a zero
-    part; numpy's 1.0 / xi multiplies by a rounded reciprocal instead.
-    """
-    xi = np.asarray(xi, dtype=np.complex128)
-    with np.errstate(over="ignore"):
-        far = np.isinf(np.float_power(np.hypot(xi.real, xi.imag), 2))
-        return np.where(far, np.reciprocal(np.where(far, xi, 1.0)), xi), far
 
 
 def resolution_of_unity(j: float, grid: SphereGrid | None = None) -> np.ndarray:
@@ -138,8 +114,9 @@ def radial_weight(r, m: int):
     """Normalized constraint-direction weight e^{-r} r^{m+1} / (m+1)!.
 
     Integrates to 1 over r in [0, inf) and peaks at r = m+1, the quantum
-    image of the classical constraint surface.
+    image of the classical constraint surface.  ValueError for m < 0.
     """
+    _check_m(m)
     r = np.asarray(r, dtype=float)
     lg = math.lgamma(m + 2)
     with np.errstate(divide="ignore", invalid="ignore"):

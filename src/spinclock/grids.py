@@ -110,6 +110,8 @@ def sphere_grid(j: float, n_polar: int | None = None, n_azimuthal: int | None = 
         n_polar = two_j + 2
     if n_azimuthal is None:
         n_azimuthal = _default_n_azimuthal(two_j)
+    if n_azimuthal < 1:
+        raise ValueError(f"a sphere grid needs at least 1 azimuth, got n_azimuthal={n_azimuthal}")
     u, wu = _gauss_legendre(n_polar)
     return SphereGrid(rho=np.sqrt((1.0 - u) / (1.0 + u)),
                       ring_weights=wu * (2.0 * np.pi / n_azimuthal) * 0.25,
@@ -132,6 +134,12 @@ def _default_n_azimuthal(two_j: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+def _check_m(m: int):
+    """ValueError unless the quanta m are nonnegative."""
+    if m < 0:
+        raise ValueError(f"the quanta m must be nonnegative, got m={m}")
 
 
 def _check_two_j(j: float) -> int:
@@ -196,7 +204,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def radial_grid(m: int) -> RadialGrid:
-    """32-node generalized Gauss-Laguerre rule for the normalized constraint weight."""
+    """32-node generalized Gauss-Laguerre rule for the normalized constraint weight; m >= 0."""
+    _check_m(m)
     alpha = m + 1
     k = np.arange(32)
     diag = 2.0 * k + alpha + 1.0

@@ -4,9 +4,14 @@ The two inner loops that dominate runtime are (1) evaluating batches of
 spin coherent-state amplitude vectors and (2) summing the weighted
 rank-one projectors  sum_k c_k |xi_k><xi_k|  over a sphere grid.
 
+Every |xi| and |xi|^2 of a chart label comes from abs_and_square, rounded
+as Python's abs(xi) and abs(xi) ** 2, so the amplitudes, the overlap
+closed form, the clock symbol and the spin symbols read one modulus.
 Amplitudes are computed in the log domain so that large spins and large
 |xi| neither overflow nor lose the normalization; log(1 + |xi|^2) stays
-finite where |xi|^2 itself overflows (log1p_square).
+finite where |xi|^2 itself overflows (log1p_square), and where a closed
+form needs |xi|^2 itself it reads the antipodal label 1/xi instead
+(antipodal_where_far).
 
 The projector sum works on the rings of the sphere grid (see grids).
 On a ring of radius rho the amplitudes factor as a_n(rho) e^{i n phi}
@@ -85,8 +90,24 @@ def _log_binomial_halves(two_j: int) -> np.ndarray:
     return out
 
 
+def abs_and_square(xi) -> tuple[np.ndarray, np.ndarray]:
+    """|xi| and |xi|^2 of chart labels, rounded as Python's abs(xi) and abs(xi) ** 2.
+
+    np.hypot rounds as abs and np.float_power calls the C pow that ** calls.
+    On arrays np.abs differs from np.hypot in the last ulp for about a third
+    of complex labels, and ** 2 (np.square) from np.float_power for about
+    0.1 %, ring radii included.  |xi|^2 is inf where it overflows, for
+    |xi| above sqrt(DBL_MAX) = 1.3407807929942596e154, and so is |xi| where
+    it overflows, as for 1.5e308 - 1.5e308j.  xi is a complex128 or float64
+    array or scalar.
+    """
+    with np.errstate(over="ignore"):
+        a = np.hypot(xi.real, xi.imag)
+        return a, np.float_power(a, 2)
+
+
 def log1p_square(a, a_sq):
-    """log(1 + a^2) for a >= 0, given a_sq = a^2 as the caller rounds it.
+    """log(1 + a^2) for a >= 0, given a_sq = a^2 from abs_and_square.
 
     This is np.log1p(a_sq), bit for bit, wherever a_sq is finite.  Where
     a^2 overflows to inf it is 2 log(a) + log1p(a^-2), so it stays finite
@@ -97,13 +118,26 @@ def log1p_square(a, a_sq):
     return np.where(far, 2.0 * np.log(a_far) + np.log1p(a_far ** -2.0), np.log1p(a_sq))
 
 
-def _log_magnitudes(ax: np.ndarray, two_j: int) -> np.ndarray:
-    """log |c_n| = 0.5 log C(2j,n) + n log|xi| - j log(1+|xi|^2) for |xi| = ax > 0.
+def antipodal_where_far(xi) -> tuple[np.ndarray, ...]:
+    """(u, far, |u|, |u|^2): u is the label xi, or its antipodal label 1/xi where |xi|^2 overflows.
 
-    Returns a (len(ax), 2j+1) real array.
+    far marks the antipodal labels, and |u|, |u|^2 come from abs_and_square.
+    np.reciprocal rounds as Python's 1 / xi but for the sign of a zero
+    part; numpy's 1.0 / xi multiplies by a rounded reciprocal instead.
     """
-    with np.errstate(over="ignore"):  # log1p_square takes over where ax^2 overflows
-        ax_sq = ax ** 2
+    xi = np.asarray(xi, dtype=np.complex128)
+    far = np.isinf(abs_and_square(xi)[1])
+    with np.errstate(over="ignore"):  # np.reciprocal overflows inside for parts near DBL_MAX
+        u = np.where(far, np.reciprocal(np.where(far, xi, 1.0)), xi)
+    return (u, far) + abs_and_square(u)
+
+
+def _log_magnitudes(xi: np.ndarray, two_j: int) -> np.ndarray:
+    """log |c_n| = 0.5 log C(2j,n) + n log|xi| - j log(1+|xi|^2) for labels xi != 0.
+
+    Returns a (len(xi), 2j+1) real array.
+    """
+    ax, ax_sq = abs_and_square(xi)
     base = -0.5 * two_j * log1p_square(ax, ax_sq)
     return _log_binomial_halves(two_j)[None, :] + np.outer(np.log(ax), np.arange(two_j + 1)) \
         + base[:, None]
@@ -117,11 +151,10 @@ def coherent_amplitudes(xi, two_j: int) -> np.ndarray:
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=np.complex128))
     out = np.zeros((xi.shape[0], two_j + 1), dtype=np.complex128)
-    ax = np.abs(xi)
-    nz = ax > 0.0
+    nz = xi != 0
     out[~nz, 0] = 1.0
     ph = np.angle(xi[nz])
-    out[nz, :] = np.exp(_log_magnitudes(ax[nz], two_j) + 1j * np.outer(ph, np.arange(two_j + 1)))
+    out[nz, :] = np.exp(_log_magnitudes(xi[nz], two_j) + 1j * np.outer(ph, np.arange(two_j + 1)))
     return out
 
 

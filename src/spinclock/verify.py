@@ -174,7 +174,7 @@ def run_checks(j: float = 5.0, seed: int = 0,
     if two_j >= 1:
         x = _labels(rand, 20)
         cf = symbols.spin_symbols_closed_form(x, j)
-        sym_err = max(np.max(np.abs(symbols.upper_symbol(mat, x, j) - val))
+        sym_err = max(np.max(np.abs(symbols.upper_symbol(mat, x) - val))
                       for val, mat in zip(cf, (s1, s2, s3)))
         sphere_err = np.max(np.abs(sum(v * v for v in cf) - j * j))
         # symbols of size j from amplitudes good to about (2j+1) eps

@@ -90,7 +90,7 @@ def test_criterion_04_spin_symbols(report):
         cf = symbols.spin_symbols_closed_form(xi, j)
         for val, mat in zip(cf, mats):
             worst_match = max(worst_match,
-                              float(np.max(np.abs(symbols.upper_symbol(mat, xi, j) - val))))
+                              float(np.max(np.abs(symbols.upper_symbol(mat, xi) - val))))
         worst_sphere = max(worst_sphere,
                            float(np.max(np.abs(cf[0]**2 + cf[1]**2 + cf[2]**2 - j * j))))
     passed = worst_match < 1e-12 and worst_sphere < 1e-10

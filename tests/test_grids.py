@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spinclock import grids, symbols, verify
+from spinclock import clock, coherent, grids, symbols, verify
 
 
 def _legendre_node(n, u0):
@@ -103,6 +103,27 @@ def test_spin_whose_2j_is_not_a_nonnegative_integer_is_rejected(build):
     # rounding 2j would give the 2j = 5 grid for 2.3 and a 1-ring grid for -0.5
     with pytest.raises(ValueError, match="2j must be a nonnegative integer"):
         build()
+
+
+@pytest.mark.parametrize("n_azimuthal", [0, -3])
+def test_sphere_grid_needs_an_azimuth(n_azimuthal):
+    # 0 azimuths would divide by zero, -3 a grid of negative length
+    with pytest.raises(ValueError, match=f"at least 1 azimuth, got n_azimuthal={n_azimuthal}$"):
+        grids.sphere_grid(2, n_azimuthal=n_azimuthal)
+
+
+@pytest.mark.parametrize("build", [
+    grids.radial_grid,
+    lambda m: coherent.radial_weight(1.0, m),
+    lambda m: symbols.project_lower_symbol(lambda xi, r, th: r, m),
+    lambda m: clock.deparameterize(lambda xi, r, th: r, m, 0.0),
+    lambda m: clock.clock_symbol_q1(0.5, m, 0.0)])
+@pytest.mark.parametrize("m", [-1, -3, -5])
+def test_negative_quanta_are_rejected(build, m):
+    # the Laguerre rule puts every node at r = 0 for m = -2, and for m <= -3 its
+    # recurrence has NaN off-diagonals and a negative mean of r
+    with pytest.raises(ValueError, match=f"the quanta m must be nonnegative, got m={m}$"):
+        build(m)
 
 
 def test_second_reconstruct_operator_builds_no_rule():

@@ -29,6 +29,60 @@ def test_amplitudes_normalized_at_extreme_arguments():
         assert np.vdot(v, v).real == pytest.approx(1.0, abs=1e-11)
 
 
+def test_nan_label_gives_nan_amplitudes():
+    # a NaN label is not the label 0, whose state is e_0
+    got = kernels.coherent_amplitudes(np.array([complex(np.nan, 0.0), complex(0.5, np.nan), 0j]), 2)
+    assert np.isnan(got[:2]).all()
+    assert got[2].tolist() == [1, 0, 0]
+
+
+def test_abs_and_square_round_as_python_abs():
+    # np.abs and ** 2 on arrays differ from these in the last ulp for 7095 and 12 of
+    # the 20000 random labels; |xi|^2 overflows past 1.34e154 and |xi| past 1.8e308
+    rng = np.random.default_rng(20)
+    xi = np.concatenate([rng.normal(size=(20000, 2)).view(complex)[:, 0],
+                         [0j, 5e-324j, 3e-200 - 4e-200j, 1e160 + 1e160j, 1.5e308 - 1.5e308j]])
+    a, a_sq = kernels.abs_and_square(xi)
+    for x, got, got_sq in zip(xi.tolist(), a, a_sq):
+        try:
+            want = abs(x)
+        except OverflowError:
+            want = math.inf
+        try:
+            want_sq = want ** 2
+        except OverflowError:
+            want_sq = math.inf
+        assert (got, got_sq) == (want, want_sq)
+
+
+SQRT_MAX = 1.3407807929942596e154  # sqrt(DBL_MAX), the largest |xi| whose square is finite
+
+
+def test_antipodal_switch_at_its_edge():
+    # |xi|^2 is finite at SQRT_MAX and overflows at the next float, where the closed
+    # forms switch to the label 1/xi; both sides must give the |xi| -> inf limits
+    beyond = np.nextafter(SQRT_MAX, math.inf)
+    eps, j, m = np.finfo(float).eps, 7, 7
+    assert kernels.abs_and_square(SQRT_MAX)[1] < math.inf == kernels.abs_and_square(beyond)[1]
+    for phase in (1, 1j, -1):
+        sides = []
+        for a in (SQRT_MAX, beyond):
+            xi = a * phase
+            assert kernels.antipodal_where_far(xi)[1] == (a == beyond)
+            ov = coherent.overlap(xi, xi, j)
+            s = np.array(symbols.spin_symbols_closed_form(xi, j))
+            # at omega tau + phi' = -arg xi the clock symbol is its amplitude
+            amp = clock.clock_symbol_q1(xi, m, -np.angle(xi)) / clock.slice_amplitude(m)
+            vec = coherent.su2_coherent(xi, j)
+            assert abs(ov - 1) <= 4 * eps
+            assert abs(np.sum(s * s) - j * j) <= 4 * eps * j * j
+            assert abs(amp - 1) <= 4 * eps
+            assert abs(np.linalg.norm(vec) - 1) <= 4 * eps
+            sides.append((ov, s, amp, vec))
+        for near, far in zip(*sides):
+            assert np.all(np.abs(near - far) <= 4 * eps * np.abs(near))
+
+
 def test_ring_projector_sum_matches_direct_sum():
     # seeded complex per-node coefficients exercise every azimuthal mode;
     # n_polar=3 is an under-resolved override as verify --quad-order gives

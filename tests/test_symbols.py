@@ -32,11 +32,6 @@ def test_upper_symbol_spin_one_values():
         assert abs(symbols.upper_symbol(s3, xi)) < 1e-13
 
 
-def test_upper_symbol_dimension_mismatch():
-    with pytest.raises(ValueError):
-        symbols.upper_symbol(np.eye(3, dtype=complex), 0.0, j=2.0)
-
-
 def test_spin_symbols_at_origin():
     assert symbols.spin_symbols_closed_form(0.0, 3.0) == (0.0, -0.0, -3.0)
 
@@ -49,7 +44,7 @@ def test_spin_symbols_match_matrix_expectations():
             xi = complex(RNG.normal(), RNG.normal())
             cf = symbols.spin_symbols_closed_form(xi, j)
             for val, mat in zip(cf, mats):
-                assert abs(symbols.upper_symbol(mat, xi, j) - val) < 1e-12
+                assert abs(symbols.upper_symbol(mat, xi) - val) < 1e-12
 
 
 def test_spin_symbols_imaginary_label():
@@ -59,7 +54,7 @@ def test_spin_symbols_imaginary_label():
     assert cf == pytest.approx((0.0, -2.0, 0.0), abs=1e-14)
     mats = fock.spin_operators(4)
     for val, mat in zip(cf, mats):
-        assert abs(symbols.upper_symbol(mat, 1j, 2.0) - val) < 1e-13
+        assert abs(symbols.upper_symbol(mat, 1j) - val) < 1e-13
 
 
 def test_spin_symbols_beyond_overflow_of_abs_sq():
@@ -77,10 +72,10 @@ BROADCAST_LABELS = np.array([[0.0, 0.3 - 0.7j, 1e160], [-2.0 + 0.5j, 1e160j, 1.0
 def test_upper_symbol_broadcasts_over_labels(j):
     mats = fock.spin_operators(int(round(2 * j)))
     for mat in mats:
-        got = symbols.upper_symbol(mat, BROADCAST_LABELS, j)
+        got = symbols.upper_symbol(mat, BROADCAST_LABELS)
         assert got.shape == BROADCAST_LABELS.shape
         for idx, x in np.ndenumerate(BROADCAST_LABELS):
-            one = symbols.upper_symbol(mat, x, j)
+            one = symbols.upper_symbol(mat, x)
             assert np.ndim(one) == 0
             assert got[idx] == one
 
@@ -101,7 +96,7 @@ def test_upper_symbol_of_full_matrix_matches_vdot(j):
     dim = int(round(2 * j)) + 1
     op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     xis = np.concatenate([[0.0, 1e160], rng.normal(size=(30, 2)).view(complex)[:, 0]])
-    got = symbols.upper_symbol(op, xis, j)
+    got = symbols.upper_symbol(op, xis)
     want = np.array([np.vdot(v, op @ v) for v in (su2_coherent(x, j) for x in xis)])
     assert np.max(np.abs(got - want)) < 1e-12
 
