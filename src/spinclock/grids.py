@@ -57,6 +57,7 @@ overflow that plain generalized Gauss-Laguerre weights hit for large m.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,8 @@ def sphere_grid(j: float, n_polar: int | None = None, n_azimuthal: int | None = 
         n_polar = two_j + 2
     if n_azimuthal is None:
         n_azimuthal = _default_n_azimuthal(two_j)
+    n_polar = _check_count("n_polar", n_polar)
+    n_azimuthal = _check_count("n_azimuthal", n_azimuthal)
     if n_azimuthal < 1:
         raise ValueError(f"a sphere grid needs at least 1 azimuth, got n_azimuthal={n_azimuthal}")
     u, wu = _gauss_legendre(n_polar)
@@ -134,6 +137,14 @@ def _default_n_azimuthal(two_j: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+def _check_count(name: str, n) -> int:
+    """n as an int; ValueError unless it is an integer, a numpy integer included."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"a sphere grid needs an integer {name}, got {name}={n!r}") from None
 
 
 def _check_m(m: int):

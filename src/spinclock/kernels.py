@@ -22,8 +22,8 @@ with real a_n, so entry (n, n') of the sum is
 and the inner sum is column (n' - n) mod n_azimuthal of the azimuthal
 FFT of c on that ring.  Coefficients given one per ring reach only
 column 0, so no FFT runs and only the diagonals d = 0 mod n_azimuthal
-are computed, each as one real einsum over the rings written straight
-into the result, the rest being exactly zero.  For real per-node
+are computed, each as one real sum over the rings written straight into
+the result, the rest being exactly zero.  For real per-node
 coefficients one np.fft.rfft per ring gives every column, and the kernel
 computes one triangle and mirrors it as its conjugate, so the result is
 exactly Hermitian.  Each computed diagonal d costs a weighted sum over
@@ -34,8 +34,11 @@ per-ring ones O(n_polar dim) if n_az > 2j.
 The temporaries are n_polar x n_az and n_polar x dim, never npts x dim:
 the spectrum columns the diagonals read are gathered once into a
 (dim, 2, n_polar) real array, and the products a_n a_{n-d} are formed in
-blocks of at most 256 rows in one reused buffer.  Each block's einsum
-writes its sums straight into a packed triangle: Re and Im of entries
+blocks of 256 rows, halved while a block holds more than 2**17 products,
+in one reused buffer.  Each block's sums over the rings are one
+np.matmul: a gemm of the two rows of spectrum with the block, or for
+per-ring coefficients a gemv of the block with the ring sums.  The gemm
+writes straight into a packed triangle: Re and Im of entries
 (i, i+d), diagonal after diagonal, dim (dim+1) floats held in the first
 half of the result's own buffer.  After the last diagonal one mirror
 writes a copy of the packed triangle, and its conjugate, into the
@@ -43,6 +46,15 @@ result: the main diagonal through a strided view, each off-diagonal
 triangle through one boolean-masked view of the result reshaped to
 (dim-1, dim+1), which lists its entries in the packed order.  No
 diagonal allocates or writes anything of its own.
+
+The sums run in BLAS, yet their bytes do not depend on the BLAS thread
+count, since each call is kept small.  Measured with numpy's OpenBLAS
+0.3.31 at 1 and 2 threads, the bytes of a gemv moved from about 4.6e5
+products per call, and those of the gemm from about 1e6 multiply-adds:
+on 2100 rings, 256-row blocks moved both.  A block of at most 2**17
+products stays 3.5 times below either.  Beyond 10**4 rings a one-row
+block of per-ring coefficients is a dot product, which OpenBLAS splits
+over the rings; a default grid has that many rings only for j >= 5000.
 
 The sum does no subnormal arithmetic on the amplitudes, which costs a
 microcode assist per operation on common x86 cores.  Ring amplitudes
@@ -70,8 +82,10 @@ from .grids import SphereGrid
 
 # ring amplitudes below this are dropped (see ring_projector_sum)
 _FLUSH_BELOW = 2.0 ** -511
-# ring_projector_sum forms the amplitude products in blocks of this many rows
+# ring_projector_sum forms the amplitude products in blocks of this many rows, halved
+# while a block holds more than _BLOCK_SIZE products (see its docstring)
 _BLOCK_ROWS = 256
+_BLOCK_SIZE = 2 ** 17
 
 
 @functools.lru_cache(maxsize=16)
@@ -187,9 +201,10 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     coefficients give an exactly Hermitian result; complex ones are
     summed as S(Re coeff) + i S(Im coeff).  Ring amplitudes below 2**-511
     are dropped, which moves no entry by more than 2**-511 sum_k |coeff[k]|
-    (see the module docstring).  The reductions over rings run in einsum,
-    not in BLAS, so the bytes of the result do not depend on the BLAS
-    thread count.
+    (see the module docstring).  The sums over the rings run in BLAS, one
+    np.matmul per block of at most 2**17 products, a size at which their
+    bytes do not depend on the BLAS thread count (see the module
+    docstring).
     """
     coeff = np.asarray(coeff)
     if np.iscomplexobj(coeff):
@@ -212,7 +227,7 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     cols[:, 1] = spectrum.imag.T[q]
     np.negative(cols[:, 1], out=cols[:, 1], where=mirrored[:, None])
     del spectrum
-    product = np.empty((min(dim, _BLOCK_ROWS), n_polar))
+    product = _product_buffer(dim, n_polar)
     out = np.empty((dim, dim), dtype=np.complex128)
     # packed[:, k] holds Re and Im of entry (i, i+d), k = offset_d + i, diagonal after
     # diagonal, in the first dim (dim+1) floats of the result's own buffer, so the loop
@@ -221,12 +236,12 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     packed = out.reshape(-1).view(np.float64)[:dim * (dim + 1)].reshape(2, -1)
     offset = 0
     for d in range(dim):
-        for start in range(0, dim - d, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, dim - d)
+        for start in range(0, dim - d, len(product)):
+            stop = min(start + len(product), dim - d)
             # entries (n-d, n) carry e^{-i d phi}: sum_p a_{n-d} a_n cols[d, :, p]
-            np.einsum("nr,kr->kn", np.multiply(amps[d + start:d + stop], amps[start:stop],
-                                               out=product[:stop - start]),
-                      cols[d], out=packed[:, offset + start:offset + stop])
+            block = np.multiply(amps[d + start:d + stop], amps[start:stop],
+                                out=product[:stop - start])
+            np.matmul(cols[d], block.T, out=packed[:, offset + start:offset + stop])
         offset += dim - d
     del cols, product
     _mirror_packed(packed, out)
@@ -242,21 +257,30 @@ def _ring_constant_sum(amps: np.ndarray, col: np.ndarray, n_az: int) -> np.ndarr
     negated +0.0 of a real sum's conjugate.
     """
     dim, n_polar = amps.shape
-    product = np.empty((min(dim, _BLOCK_ROWS), n_polar))
+    product = _product_buffer(dim, n_polar)
     out = np.zeros((dim, dim), dtype=np.complex128)
     out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
     vals = np.empty(dim)
     for d in range(0, dim, n_az):
-        for start in range(0, dim - d, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, dim - d)
+        for start in range(0, dim - d, len(product)):
+            stop = min(start + len(product), dim - d)
             block = np.multiply(amps[d + start:d + stop], amps[start:stop],
                                 out=product[:stop - start])
-            np.einsum("nr,r->n", block, col, out=vals[start:stop])
+            np.matmul(block, col, out=vals[start:stop])
         # entry i of each: (i, i+d) above the diagonal, (i+d, i) below it
         out_re[d:(dim - d) * dim:dim + 1] = out_re[d * dim::dim + 1] = vals[:dim - d]
         if d:
             out_im[d * dim::dim + 1] = -0.0
     return out
+
+
+def _product_buffer(dim: int, n_polar: int) -> np.ndarray:
+    """A buffer for blocks of amplitude products: _BLOCK_ROWS rows of n_polar, halved
+    while the block holds more than _BLOCK_SIZE products."""
+    rows = _BLOCK_ROWS
+    while rows > 1 and rows * n_polar > _BLOCK_SIZE:
+        rows //= 2
+    return np.empty((min(dim, rows), n_polar))
 
 
 def _mirror_packed(packed: np.ndarray, out: np.ndarray):

@@ -112,6 +112,25 @@ def test_sphere_grid_needs_an_azimuth(n_azimuthal):
         grids.sphere_grid(2, n_azimuthal=n_azimuthal)
 
 
+@pytest.mark.parametrize("name", ["n_polar", "n_azimuthal"])
+@pytest.mark.parametrize("value", [4.5, 4.0])
+def test_sphere_grid_needs_integer_counts(name, value):
+    # 4.5 azimuths gave weights summing to 2.79 and 4.5 rings an IndexError
+    # from inside the Gauss-Legendre rule
+    with pytest.raises(ValueError, match=f"an integer {name}, got {name}={value}$"):
+        grids.sphere_grid(1, **{name: value})
+
+
+def test_sphere_grid_takes_numpy_integer_counts():
+    grid = grids.sphere_grid(1, n_polar=np.int64(4), n_azimuthal=np.int32(5))
+    want = grids.sphere_grid(1, n_polar=4, n_azimuthal=5)
+    assert len(grid) == 20 and type(grid.n_azimuthal) is int
+    assert grid.rho.tobytes() == want.rho.tobytes()
+    assert grid.ring_weights.tobytes() == want.ring_weights.tobytes()
+    assert coherent.resolution_of_unity(1, grid).tobytes() == \
+        coherent.resolution_of_unity(1, want).tobytes()
+
+
 @pytest.mark.parametrize("build", [
     grids.radial_grid,
     lambda m: coherent.radial_weight(1.0, m),

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -131,8 +132,11 @@ def _reference_ring_sum(grid, coeff, two_j):
     for d in range(0, dim, n_az if per_ring else 1):
         q = d % n_az
         column = spectrum[:, q] if q <= n_az // 2 else spectrum[:, n_az - q].conj()
-        upper = np.einsum("nr,kr->kn", amps[d:] * amps[:dim - d],
-                          np.stack((column.real, column.imag)))
+        product = amps[d:] * amps[:dim - d]
+        if per_ring:
+            upper = np.stack((np.matmul(product, column.real), np.zeros(dim - d)))
+        else:
+            upper = np.matmul(np.stack((column.real, column.imag)), product.T)
         above = slice(d, (dim - d) * dim, dim + 1)
         below = slice(d * dim, None, dim + 1)
         out_re[below] = out_re[above] = upper[0]
@@ -239,29 +243,67 @@ def test_ring_sum_matches_unflushed_direct_sum_at_large_spin(two_j, n_azimuthal)
 
 
 def test_operators_independent_of_blas_thread_count():
-    # the azimuth-dependent symbol runs reconstruct_operator over every diagonal, and
-    # sphere_grid(1000) runs the polar rule's contractions at n = 2002
-    # each operator is built twice: the second (warm) call reads the cached amplitudes
+    # the ring sums' gemm and gemv are kept to blocks small enough that no byte moves
+    # with the BLAS thread count.  The azimuth-dependent symbol runs reconstruct_operator
+    # over every diagonal: at j = 100 in one block, at j = 200 (dim 401, 402 rings) in
+    # two.  resolution_of_unity at j = 150 on 7 azimuths runs a gemv over 302 rings on
+    # every 7th diagonal.  On 2100 rings the blocks shrink to 32 rows: with 256, both
+    # sums moved at two threads.  sphere_grid(1000) runs the polar rule's contractions
+    # at n = 2002.  Each j = 100 operator is built twice: the second (warm) call reads
+    # the cached amplitudes
     code = ("import hashlib\n"
             "import numpy as np\n"
             "from spinclock import clock, coherent, grids, symbols\n"
             "sym = lambda xi: np.exp(xi.real) / (1 + np.abs(xi) ** 2)\n"
+            "bounded = lambda xi: (1 + 0.5 * xi.real) / np.sqrt(1 + np.abs(xi) ** 2)\n"
             "grid = grids.sphere_grid(1000)\n"
+            "aliased = grids.sphere_grid(150, n_azimuthal=7)\n"
+            "rings = grids.sphere_grid(150, n_polar=2100, n_azimuthal=3)\n"
             "ops = (lambda: coherent.resolution_of_unity(100),\n"
             "       lambda: clock.clock_operator(100, 0.7),\n"
             "       lambda: symbols.reconstruct_operator(sym, 100))\n"
             "cold = [op() for op in ops]\n"
-            "for op in (*cold, grid.rho, grid.ring_weights, *(op() for op in ops)):\n"
+            "more = (symbols.reconstruct_operator(sym, 200),\n"
+            "        coherent.resolution_of_unity(150, aliased),\n"
+            "        coherent.resolution_of_unity(150, rings),\n"
+            "        symbols.reconstruct_operator(bounded, 150, rings))\n"
+            "assert all(np.isfinite(op).all() for op in more)\n"
+            "for op in (*cold, grid.rho, grid.ring_weights, *more, *(op() for op in ops)):\n"
             "    print(hashlib.sha256(op.tobytes()).hexdigest())\n")
     digests = []
-    for threads in ("1", "4"):
+    for threads in ("1", "2", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads)
         digests.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                       capture_output=True, text=True).stdout)
-    assert digests[0] == digests[1]
+    assert digests[1] == digests[0] and digests[2] == digests[0]
     lines = digests[0].splitlines()
-    assert len(lines) == 8 and lines[:3] == lines[5:]
+    assert len(lines) == 12 and lines[:3] == lines[9:]
+
+
+@pytest.mark.parametrize("two_j", [200, 400])
+def test_ring_amplitudes_match_mpmath(two_j):
+    # a_n = exp(L), L = 1/2 log C(2j,n) + n log rho - j log1p(rho^2): the terms are as
+    # large as T = 1/2 log C(2j,n) + n |log rho| + j log1p(rho^2) and cancel to L <= 0.
+    # Each is rounded once as a log and once as a product, so |dL|, the relative error
+    # of a_n, is up to about eps T.  T peaks at the outermost ring, at n = 2j:
+    # 10.2 (2j+1) at 2j = 200 (rho = 168) and 11.6 (2j+1) at 2j = 400 (rho = 335), so
+    # the bound is 12 (2j+1) eps.  Over every ring, the worst amplitude above 1e-3 is
+    # 4.0 (2j+1) eps off at 2j = 200 and 5.3 (2j+1) eps at 2j = 400.  The sums'
+    # dense references share these amplitudes, so only an exact oracle sees this error
+    grid = sphere_grid(two_j / 2)
+    amps = kernels._ring_amplitudes(grid.rho.tobytes(), two_j)
+    assert grid.rho[0] == np.max(grid.rho)
+    worst = 0.0
+    with mpmath.workdps(30):
+        half_log_binomial = [mpmath.log(mpmath.binomial(two_j, n)) / 2 for n in range(two_j + 1)]
+        for p in range(0, len(grid.rho), 10):  # every 10th ring from the outermost
+            rho = mpmath.mpf(float(grid.rho[p]))
+            log_rho, log_norm = mpmath.log(rho), -two_j * mpmath.log1p(rho * rho) / 2
+            for n in np.flatnonzero(amps[:, p] > 1e-3).tolist():
+                exact = mpmath.exp(half_log_binomial[n] + n * log_rho + log_norm)
+                worst = max(worst, abs(float((amps[n, p] - exact) / exact)))
+    assert worst <= 12 * (two_j + 1) * np.finfo(float).eps
 
 
 def _count_calls(monkeypatch, module, name):
