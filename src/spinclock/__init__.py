@@ -16,7 +16,7 @@ from .errors import (ChartSingularityError, ClockRangeError,
                      NullPhysicalSubspaceError, SpinclockError)
 from .fock import casimir, constraint_eigencheck, spin_operators
 from .grids import RadialGrid, SphereGrid, radial_grid, sphere_grid
-from .symbols import (project_lower_symbol, q2_position_symbol,
+from .symbols import (project_lower_symbol, q1_position_symbol, q2_position_symbol,
                       reconstruct_operator, spin_symbols_closed_form,
                       upper_symbol)
 
@@ -31,6 +31,6 @@ __all__ = [
     "SpinclockError",
     "casimir", "constraint_eigencheck", "spin_operators",
     "RadialGrid", "SphereGrid", "radial_grid", "sphere_grid",
-    "project_lower_symbol", "q2_position_symbol", "reconstruct_operator",
+    "project_lower_symbol", "q1_position_symbol", "q2_position_symbol", "reconstruct_operator",
     "spin_symbols_closed_form", "upper_symbol",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, clock, coherent, fock, symbols, verify
 from .errors import SpinclockError
-from .grids import _check_two_j, _default_n_azimuthal
+from .grids import _check_two_j
 
 USAGE_ERROR = 1
 VERIFY_FAILURE = 2
@@ -98,20 +98,20 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _write_json(body: dict, meta: dict, out: str | None):
+    """body and {"meta": meta} as one JSON object, keys sorted, indented by one space."""
+    _write(json.dumps(dict(body, meta=meta), sort_keys=True, default=str, indent=1) + "\n", out)
+
+
 def _write_table(columns: dict, meta: dict, fmt: str, out: str | None):
-    meta = dict(meta, version=__version__)
-    meta_json = json.dumps(meta, sort_keys=True, default=str)
     if fmt == "json":
-        payload = {"meta": meta, "columns": columns}
-        text = json.dumps(payload, sort_keys=True, default=str, indent=1) + "\n"
-    else:
-        names = list(columns)
-        nrows = len(next(iter(columns.values())))
-        lines = [f"# config {meta_json}", ",".join(names)]
-        for i in range(nrows):
-            lines.append(",".join(_fmt(columns[k][i]) for k in names))
-        text = "\n".join(lines) + "\n"
-    _write(text, out)
+        return _write_json({"columns": columns}, meta, out)
+    names = list(columns)
+    nrows = len(next(iter(columns.values())))
+    lines = [f"# config {json.dumps(meta, sort_keys=True, default=str)}", ",".join(names)]
+    for i in range(nrows):
+        lines.append(",".join(_fmt(columns[k][i]) for k in names))
+    _write("\n".join(lines) + "\n", out)
 
 
 def _sweep_grid(args, var: str, default: tuple[float, float, int] | None = None):
@@ -133,10 +133,10 @@ def _sweep_grid(args, var: str, default: tuple[float, float, int] | None = None)
     return np.linspace(sweep[1], sweep[2], count)
 
 
-def _spin(args, default: float | None = None) -> float:
-    """Spin j from the one spin flag given: --j, --m-prime or (clock-trace) --m.
+def _spin(args, default: float | None = None) -> tuple[float, int]:
+    """Spin j and its 2j from the one spin flag given: --j, --m-prime or (clock-trace) --m.
 
-    Without a spin flag this is default, or a usage error when there is none;
+    Without a spin flag j is default, or a usage error when there is none;
     2j must be a nonnegative integer.
     """
     flags = {"--j": args.j, "--m-prime": args.m_prime}
@@ -145,14 +145,11 @@ def _spin(args, default: float | None = None) -> float:
     given = [(flag, value) for flag, value in flags.items() if value is not None]
     if len(given) > 1:
         raise SpinclockError(f"give exactly one of {' / '.join(flags)}")
-    if not given:
-        if default is None:
-            raise SpinclockError(f"one of {' / '.join(flags)} is required")
-        return default
-    flag, value = given[0]
+    if not given and default is None:
+        raise SpinclockError(f"one of {' / '.join(flags)} is required")
+    flag, value = given[0] if given else ("--j", default)
     j = float(value) if flag == "--j" else value / 2.0
-    _check_two_j(j)
-    return j
+    return j, _check_two_j(j)
 
 
 def array_bytes(j: float, matrices: int, labels: int = 0) -> float:
@@ -235,13 +232,13 @@ def build_parser() -> _Parser:
 
 
 def _meta(args, **extra) -> dict:
-    meta = {"omega": args.omega, "hbar": args.hbar, "seed": args.seed}
+    meta = {"omega": args.omega, "hbar": args.hbar, "seed": args.seed, "version": __version__}
     meta.update(extra)
     return meta
 
 
 def cmd_overlap(args) -> int:
-    j = _spin(args)
+    j, _ = _spin(args)
     xi = args.xi
     xps = _sweep_grid(args, "xi_prime")
     if xps is None:
@@ -263,7 +260,7 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    j = _spin(args)
+    j, _ = _spin(args)
     chart = "antipodal" if args.antipodal else "primary"
     if args.which == 1:
         if args.xi_mag is not None:
@@ -295,7 +292,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_clock_trace(args) -> int:
-    m = _check_two_j(_spin(args))
+    _, m = _spin(args)
     xi, omega, phi_prime = args.xi, args.omega, args.phi_prime
     taus = _sweep_grid(args, "tau", (0.0, 4 * math.pi, 201))
     quantum = clock.clock_symbol_q1(xi, m, taus, phi_prime, omega, args.hbar)
@@ -314,7 +311,7 @@ def cmd_clock_trace(args) -> int:
 
 
 def cmd_symbols(args) -> int:
-    j = _spin(args)
+    j, two_j = _spin(args)
     # the spin matrices peak at 5.5 matrices' worth (tracemalloc, j = 200); the
     # amplitude batch over the labels is checked once their count is known
     _check_array_bytes(f"spin j={j:g}", array_bytes(j, matrices=6))
@@ -325,32 +322,30 @@ def cmd_symbols(args) -> int:
                  for k, s in enumerate(symbols.spin_symbols_closed_form(xis, j), 1)})
     # at j = 0 the spin matrices are 1 x 1 zeros, so the upper symbols are 0
     cols.update({f"s{k}_upper": list(symbols.upper_symbol(mat, xis).real)
-                 for k, mat in enumerate(fock.spin_operators(_check_two_j(j)), 1)})
+                 for k, mat in enumerate(fock.spin_operators(two_j), 1)})
     _write_table(cols, _meta(args, command="symbols", j=j), args.format, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    j = _spin(args, default=5.0)
+    j, two_j = _spin(args, default=5.0)
     # tracemalloc at j = 200: run_checks holds 6.1 matrices' worth besides the clock check's
-    # quantization on 8 (2j+6) x (2j+2) nodes, and reconstruct_operator on the default
-    # grid peaks at 4.0; the estimate keeps 15 matrices
+    # quantization on its grid, and reconstruct_operator on the default grid peaks at 4.0;
+    # the estimate keeps 15 matrices
     n = args.quad_order
-    need = array_bytes(j, matrices=15) + grid_bytes(8 * (2 * j + 6), 2 * j + 2)
+    checks_shape, clock_shape = verify._grid_shapes(two_j, n)
+    need = array_bytes(j, matrices=15) + grid_bytes(*clock_shape)
     if n:
-        need += grid_bytes(n, _default_n_azimuthal(_check_two_j(j)))
+        need += grid_bytes(*checks_shape)
     _check_array_bytes(f"spin j={j:g}" + ("" if n is None else f" with --quad-order {n}"), need)
     results = verify.run_checks(j=j, seed=args.seed, quad_order=args.quad_order)
     all_passed = all(r.passed for r in results)
     meta = _meta(args, command="verify", j=j)
     out = args.out
     if args.format == "json":
-        payload = {"meta": dict(meta, version=__version__),
-                   "checks": [{"name": r.name, "passed": r.passed,
-                               "measured": r.measured, "tol": r.tol}
-                              for r in results],
-                   "all_passed": all_passed}
-        _write(json.dumps(payload, sort_keys=True, indent=1) + "\n", out)
+        _write_json({"checks": [{"name": r.name, "passed": r.passed,
+                                 "measured": r.measured, "tol": r.tol} for r in results],
+                     "all_passed": all_passed}, meta, out)
     else:
         cols = {"name": [r.name for r in results],
                 "passed": [int(r.passed) for r in results],

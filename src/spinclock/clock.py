@@ -44,8 +44,8 @@ import numpy as np
 
 from . import classical, kernels
 from .errors import ChartSingularityError
-from .grids import _check_m, _check_two_j, radial_grid
-from .symbols import FullLowerSymbol, ReducedLowerSymbol, _radial_mean
+from .grids import _check_m, _check_two_j
+from .symbols import FullLowerSymbol, ReducedLowerSymbol, _reduction
 
 
 @dataclass
@@ -68,13 +68,7 @@ def deparameterize(sym: FullLowerSymbol, m: int, tau: float,
     the normalized radial weight r^{m+1} e^{-r} / (m+1)!, integrated by the
     rule radial_grid(m); it takes a scalar or an array of xi.
     """
-    rgrid = radial_grid(m)
-    theta = np.array([math.fmod(omega * tau + phi_prime, 2.0 * math.pi)])
-
-    def at_slice(xi):
-        return _radial_mean(sym, xi, rgrid, theta)
-
-    return at_slice
+    return _reduction(sym, m, np.array([math.fmod(omega * tau + phi_prime, 2.0 * math.pi)]))
 
 
 def slice_amplitude(m: int) -> float:
@@ -150,13 +144,16 @@ def classical_limit_check(xi: complex, m_list, tau_grid,
               "limit_ratio": math.sqrt(2.0 * classical.amplitude_energy(1.0, 1.0))}
     model = np.cos(omega * tau_grid + phi_prime + np.angle(xi))
     for m in m_list:
-        vals = clock_symbol_q1(xi, m, tau_grid, phi_prime, omega)
-        # fit a single sinusoid amp*cos(omega tau + phi' + arg xi)
-        amp = float(vals @ model) / float(model @ model)
-        resid = float(np.max(np.abs(vals - amp * model)))
+        amp, resid = fit_sinusoid(clock_symbol_q1(xi, m, tau_grid, phi_prime, omega), model)
         report["amplitude_ratio"].append(amp / classical_amplitude(m, xi, omega))
         report["phase_residual"].append(resid / max(abs(amp), 1e-300))
     return report
+
+
+def fit_sinusoid(vals: np.ndarray, model: np.ndarray) -> tuple[float, float]:
+    """The least-squares amplitude amp of vals on the sinusoid model, and max |vals - amp model|."""
+    amp = float(vals @ model) / float(model @ model)
+    return amp, float(np.max(np.abs(vals - amp * model)))
 
 
 def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
@@ -228,9 +225,7 @@ def amplitude_correlation(theta_ref: float, j: float,
     cos^{2j}(theta' - theta_ref), a Gaussian of width 1/(2j) near the
     peak.
     """
-    two_j = _check_two_j(j)
-    if j < 0.5:
-        raise ValueError("need j >= 1/2")
+    two_j = _correlation_two_j(j)
     theta_sweep = np.asarray(theta_sweep, dtype=float)
     pole = math.pi / 2.0
     if min(abs(theta_ref - pole), abs(theta_ref + pole)) < 1e-6:
@@ -238,12 +233,8 @@ def amplitude_correlation(theta_ref: float, j: float,
             "theta_ref at the chart pole; parametrize from the other chart (swap the "
             "oscillators, theta -> pi/2 - theta, which toggling --antipodal does)")
     ov = np.abs(np.cos(theta_sweep - theta_ref)) ** two_j
-    sigma2_pred = 1.0 / (2.0 * j)
-    sigma2_fit, fitted = fit_gaussian_width(theta_sweep, ov)
-    return CorrelationTrace(sweep=theta_sweep, overlap=ov, gaussian=fitted,
-                            sigma2_fit=sigma2_fit, sigma2_pred=sigma2_pred,
-                            meta={"kind": "amplitude", "j": j,
-                                  "theta_ref": theta_ref})
+    return _fitted_trace(theta_sweep, ov, 1.0 / (2.0 * j),
+                         {"kind": "amplitude", "j": j, "theta_ref": theta_ref})
 
 
 def phase_correlation(xi_mag: float, j: float,
@@ -254,9 +245,7 @@ def phase_correlation(xi_mag: float, j: float,
     E1 = 2j |xi|^2/(1+|xi|^2) and E2 = 2j/(1+|xi|^2); sharp when the
     energy is shared.
     """
-    two_j = _check_two_j(j)
-    if j < 0.5:
-        raise ValueError("need j >= 1/2")
+    two_j = _correlation_two_j(j)
     if xi_mag <= 0:
         raise ValueError("|xi| = 0 carries no phase information")
     try:
@@ -271,9 +260,22 @@ def phase_correlation(xi_mag: float, j: float,
     ov = (np.abs(1.0 + t * np.exp(1j * dphi_sweep)) / (1.0 + t)) ** two_j
     e1 = two_j * t / (1.0 + t)
     e2 = two_j / (1.0 + t)
-    sigma2_pred = two_j / (e1 * e2)
-    sigma2_fit, fitted = fit_gaussian_width(dphi_sweep, ov)
-    return CorrelationTrace(sweep=dphi_sweep, overlap=ov, gaussian=fitted,
-                            sigma2_fit=sigma2_fit, sigma2_pred=sigma2_pred,
-                            meta={"kind": "phase", "j": j, "xi_mag": xi_mag})
+    return _fitted_trace(dphi_sweep, ov, two_j / (e1 * e2),
+                         {"kind": "phase", "j": j, "xi_mag": xi_mag})
+
+
+def _correlation_two_j(j: float) -> int:
+    """The integer 2j of a correlation trace's spin; ValueError unless 2j is an integer >= 1."""
+    two_j = _check_two_j(j)
+    if j < 0.5:
+        raise ValueError("need j >= 1/2")
+    return two_j
+
+
+def _fitted_trace(sweep: np.ndarray, ov: np.ndarray, sigma2_pred: float,
+                  meta: dict) -> CorrelationTrace:
+    """The CorrelationTrace of the overlaps ov over sweep, with their fitted Gaussian width."""
+    sigma2_fit, fitted = fit_gaussian_width(sweep, ov)
+    return CorrelationTrace(sweep=sweep, overlap=ov, gaussian=fitted, sigma2_fit=sigma2_fit,
+                            sigma2_pred=sigma2_pred, meta=meta)
 

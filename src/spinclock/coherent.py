@@ -101,11 +101,21 @@ def overlap(xi1, xi2, j: float):
 
 def resolution_of_unity(j: float, grid: SphereGrid | None = None) -> np.ndarray:
     """((2j+1)/pi) * sum_k w_k |xi_k><xi_k|; identity on the sector."""
+    # the coefficients are the ring weights, one per ring: column 0 only
+    return _diagonal_operator(j, grid, lambda grid: grid.ring_weights)
+
+
+def _diagonal_operator(j: float, grid: SphereGrid | None, coefficients) -> np.ndarray:
+    """((2j+1)/pi) * sum_k c_k |xi_k><xi_k| over grid, the default grid of spin j when None.
+
+    coefficients(grid) returns the c_k w_k, one per node or one per ring
+    (see kernels.ring_projector_sum); whatever it builds on the way is
+    freed before the ring sum runs.
+    """
     two_j = _check_two_j(j)
     if grid is None:
         grid = sphere_grid(j)
-    # the coefficients are the ring weights, one per ring: column 0 only
-    out = kernels.ring_projector_sum(grid, grid.ring_weights, two_j)
+    out = kernels.ring_projector_sum(grid, coefficients(grid), two_j)
     out *= (two_j + 1) / np.pi
     return out
 

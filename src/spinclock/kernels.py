@@ -52,9 +52,9 @@ count, since each call is kept small.  Measured with numpy's OpenBLAS
 0.3.31 at 1 and 2 threads, the bytes of a gemv moved from about 4.6e5
 products per call, and those of the gemm from about 1e6 multiply-adds:
 on 2100 rings, 256-row blocks moved both.  A block of at most 2**17
-products stays 3.5 times below either.  Beyond 10**4 rings a one-row
-block of per-ring coefficients is a dot product, which OpenBLAS splits
-over the rings; a default grid has that many rings only for j >= 5000.
+products stays 3.5 times below either.  A one-row block of per-ring
+coefficients is summed in einsum instead: numpy runs a one-row gemv as a
+dot product, which OpenBLAS splits over the rings beyond 10**4 of them.
 
 The sum does no subnormal arithmetic on the amplitudes, which costs a
 microcode assist per operation on common x86 cores.  Ring amplitudes
@@ -203,8 +203,8 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     are dropped, which moves no entry by more than 2**-511 sum_k |coeff[k]|
     (see the module docstring).  The sums over the rings run in BLAS, one
     np.matmul per block of at most 2**17 products, a size at which their
-    bytes do not depend on the BLAS thread count (see the module
-    docstring).
+    bytes do not depend on the BLAS thread count, but for one-row blocks of
+    per-ring coefficients, which run in einsum (see the module docstring).
     """
     coeff = np.asarray(coeff)
     if np.iscomplexobj(coeff):
@@ -266,7 +266,12 @@ def _ring_constant_sum(amps: np.ndarray, col: np.ndarray, n_az: int) -> np.ndarr
             stop = min(start + len(product), dim - d)
             block = np.multiply(amps[d + start:d + stop], amps[start:stop],
                                 out=product[:stop - start])
-            np.matmul(block, col, out=vals[start:stop])
+            if stop - start == 1:
+                # numpy runs a one-row gemv as a dot product, which OpenBLAS splits over
+                # the rings beyond 10**4 of them; einsum sums it on one thread
+                vals[start] = np.einsum("r,r->", block[0], col)
+            else:
+                np.matmul(block, col, out=vals[start:stop])
         # entry i of each: (i, i+d) above the diagonal, (i+d, i) below it
         out_re[d:(dim - d) * dim:dim + 1] = out_re[d * dim::dim + 1] = vals[:dim - d]
         if d:
@@ -276,7 +281,13 @@ def _ring_constant_sum(amps: np.ndarray, col: np.ndarray, n_az: int) -> np.ndarr
 
 def _product_buffer(dim: int, n_polar: int) -> np.ndarray:
     """A buffer for blocks of amplitude products: _BLOCK_ROWS rows of n_polar, halved
-    while the block holds more than _BLOCK_SIZE products."""
+    while the block holds more than _BLOCK_SIZE products.
+
+    The power-of-two rows hold the bytes too, not only the size: the sums
+    of 256-row blocks match those of one gemv over the whole diagonal byte
+    for byte, and blocks of 2**17 // n_polar rows (326 at j = 200, in place
+    of 256 + 145) do not (test_resolution_of_unity_bytes_match_reference_ring_sum).
+    """
     rows = _BLOCK_ROWS
     while rows > 1 and rows * n_polar > _BLOCK_SIZE:
         rows //= 2

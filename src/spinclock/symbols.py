@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .coherent import su2_coherent
-from .grids import RadialGrid, SphereGrid, _check_two_j, gauge_grid, radial_grid, sphere_grid
+from .coherent import _diagonal_operator, su2_coherent
+from .grids import SphereGrid, gauge_grid, radial_grid
 
 # a full lower symbol maps (xi, r, theta) -> value, broadcasting its arguments
 FullLowerSymbol = Callable[[np.ndarray, float, np.ndarray], np.ndarray]
@@ -69,19 +69,26 @@ def spin_symbols_closed_form(xi, j: float):
     return s1[()], s2[()], s3[()]
 
 
-def _radial_mean(sym: FullLowerSymbol, xi, rgrid: RadialGrid,
-                 thetas: np.ndarray) -> np.ndarray:
-    """sum_i w_i * mean_theta sym(xi, r_i, theta) over the given gauge angles.
+def _reduction(sym: FullLowerSymbol, m: int, thetas: np.ndarray) -> ReducedLowerSymbol:
+    """The reduced symbol xi -> sum_i w_i * mean_theta sym(xi, r_i, theta), theta in thetas.
 
-    sym is called once per radial node on the (xi, theta) plane, so the
-    temporaries stay len(xi) x len(thetas).  The result has the shape of xi.
+    The normalized radial rule radial_grid(m) is built here, once, so a
+    negative m raises here.  The reduced symbol calls sym once per radial
+    node on the (xi, theta) plane, so the temporaries stay len(xi) x
+    len(thetas); it takes a scalar or an array of xi and returns the shape
+    of xi.
     """
-    xi = np.asarray(xi)[..., None]
-    plane = np.broadcast_shapes(xi.shape, thetas.shape)
-    total = 0.0
-    for r, w in zip(rgrid.nodes, rgrid.weights):
-        total += w * np.mean(np.broadcast_to(sym(xi, r, thetas), plane), axis=-1)
-    return total
+    rgrid = radial_grid(m)
+
+    def reduced(xi):
+        xi = np.asarray(xi)[..., None]
+        plane = np.broadcast_shapes(xi.shape, thetas.shape)
+        total = 0.0
+        for r, w in zip(rgrid.nodes, rgrid.weights):
+            total += w * np.mean(np.broadcast_to(sym(xi, r, thetas), plane), axis=-1)
+        return total
+
+    return reduced
 
 
 def project_lower_symbol(sym: FullLowerSymbol, m: int) -> ReducedLowerSymbol:
@@ -92,29 +99,19 @@ def project_lower_symbol(sym: FullLowerSymbol, m: int) -> ReducedLowerSymbol:
     uniform mean cancels gauge-odd symbols to roundoff.  The returned
     symbol takes a scalar or an array of xi.
     """
-    rgrid = radial_grid(m)
-    thetas = gauge_grid()
-
-    def reduced(xi):
-        return _radial_mean(sym, xi, rgrid, thetas)
-
-    return reduced
+    return _reduction(sym, m, gauge_grid())
 
 
 def reconstruct_operator(sym: ReducedLowerSymbol, j: float,
                          grid: SphereGrid | None = None) -> np.ndarray:
     """Matrix of the diagonal representation ((2j+1)/pi) int sym |xi><xi| dmu."""
-    two_j = _check_two_j(j)
-    if grid is None:
-        grid = sphere_grid(j)
-    xi = grid.xi
-    vals = np.broadcast_to(sym(xi), xi.shape)
-    coeff = vals.reshape(len(grid.rho), -1) * grid.ring_weights[:, None]
-    del xi, vals
+    def coefficients(grid):
+        xi = grid.xi
+        vals = np.broadcast_to(sym(xi), xi.shape)
+        return vals.reshape(len(grid.rho), -1) * grid.ring_weights[:, None]
+
     # sym is a black box, so every ring Fourier column may be non-zero
-    out = kernels.ring_projector_sum(grid, coeff, two_j)
-    out *= (two_j + 1) / np.pi
-    return out
+    return _diagonal_operator(j, grid, coefficients)
 
 
 def q2_position_symbol(xi, r, theta, omega: float = 1.0, hbar: float = 1.0):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical, clock, coherent, fock, symbols
-from .grids import SphereGrid, _check_two_j, sphere_grid
+from .grids import SphereGrid, _check_two_j, _default_n_azimuthal, sphere_grid
 
 EPS = np.finfo(float).eps
 
@@ -54,13 +54,27 @@ def _labels(rand: random.Random, count: int) -> np.ndarray:
                      for _ in range(count)])
 
 
+def _grid_shapes(two_j: int, quad_order: int | None) -> tuple[tuple, tuple]:
+    """(n_polar, n_azimuthal) of the two sphere grids run_checks builds at spin j = two_j / 2.
+
+    The checks' grid is the default grid, (None, None), or with quad_order
+    rings of the default azimuths.  The clock check quantizes the clock
+    symbol on 8 (2j+6) rings of 2j+2 azimuths: 2j+2 azimuths are exact for
+    it, and its error, within 2.7e-6 (worst at j = 2), converges like
+    n_polar^-3.
+    """
+    checks = (None, None) if quad_order is None else (quad_order, _default_n_azimuthal(two_j))
+    return checks, (8 * (two_j + 6), two_j + 2)
+
+
 def run_checks(j: float = 5.0, seed: int = 0,
                quad_order: int | None = None) -> list[CheckResult]:
     """Run the full invariant suite at spin j; returns one result per check."""
     two_j = _check_two_j(j)
     # the standard library's generator: numpy.random would cost the process 6 MiB of RSS
     rand = random.Random(seed)
-    grid = sphere_grid(j, n_polar=quad_order)
+    checks_shape, clock_shape = _grid_shapes(two_j, quad_order)
+    grid = sphere_grid(j, *checks_shape)
     results: list[CheckResult] = []
 
     # classical oracle
@@ -187,9 +201,7 @@ def run_checks(j: float = 5.0, seed: int = 0,
     taus = np.linspace(0.0, 4 * math.pi, 64)
     vals = clock.clock_symbol_q1(xi_c, two_j, taus, phi_prime=0.2)
     model = np.cos(taus + 0.2 + np.angle(xi_c))
-    amp = float(vals @ model) / float(model @ model)
-    results.append(_check("clock.sinusoid_fit",
-                          np.max(np.abs(vals - amp * model)), 1e-12))
+    results.append(_check("clock.sinusoid_fit", clock.fit_sinusoid(vals, model)[1], 1e-12))
     depar = clock.deparameterize(
         lambda xi, r, th: symbols.q1_position_symbol(xi, r, th), two_j, 0.0, phi_prime=0.2)
     x = np.array([xi_c, 1.5 - 0.3j, 0.2 + 0.9j])
@@ -199,12 +211,11 @@ def run_checks(j: float = 5.0, seed: int = 0,
     results.append(_check("clock.deparameterize_constant_ratio",
                           np.ptp(ratios) / abs(np.mean(ratios)), 1e-10))
     if two_j >= 1:
-        # the closed form against the symbol quantized on 8 (2j+6) rings: within 2.7e-6
-        # (worst at j = 2), converging like n_polar^-3; 2j+2 azimuths are exact here
+        # the closed form against the symbol quantized on the clock grid
         cop = clock.clock_operator(j, 0.7, phi_prime=0.2)
         quad = symbols.reconstruct_operator(
             lambda xi: clock.clock_symbol_q1(xi, two_j, 0.7, phi_prime=0.2), j,
-            sphere_grid(j, n_polar=8 * (two_j + 6), n_azimuthal=two_j + 2))
+            sphere_grid(j, *clock_shape))
         results.append(_check("clock.operator_quadrature",
                               np.max(np.abs(quad - cop)) / np.max(np.abs(cop)), 1e-5))
     if j >= 1:

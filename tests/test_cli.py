@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spinclock import cli, clock, verify
+from spinclock import __version__, cli, clock, verify
 from spinclock.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -726,3 +726,35 @@ def test_symbols_independent_of_blas_thread_count():
                               check=True, env=env, capture_output=True)
         digests.add(hashlib.sha256(proc.stdout).hexdigest())
     assert len(digests) == 1
+
+
+@pytest.mark.parametrize("quad_order, shapes", [
+    (None, ((None, None), (10**5, 10**5))),
+    ("9", ((10**5, 10**5), (1, 1)))])
+def test_verify_budget_reads_the_grid_shapes(quad_order, shapes, monkeypatch, capsys):
+    # a 10^5 x 10^5 grid needs 782 GiB: verify refuses it whichever grid it is
+    asked = []
+
+    def grid_shapes(two_j, n):
+        asked.append((two_j, n))
+        return shapes
+
+    _refuse_arrays(monkeypatch)
+    monkeypatch.setattr(verify, "_grid_shapes", grid_shapes)
+    argv = ["verify", "--j", "5"] + ([] if quad_order is None else ["--quad-order", quad_order])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert asked == [(10, None if quad_order is None else 9)]
+    spin = "spin j=5" if quad_order is None else "spin j=5 with --quad-order 9"
+    assert err == (f"spinclock: error: {spin} needs about 782.3 GiB of arrays, "
+                   f"over the 4 GiB budget\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "overlap"])
+def test_json_output_is_sorted_indented_and_versioned(command, capsys):
+    # one writer serves every command's JSON
+    code, out, _ = run_cli([command, "--j", "1", "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    assert payload["meta"]["version"] == __version__

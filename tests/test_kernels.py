@@ -133,7 +133,10 @@ def _reference_ring_sum(grid, coeff, two_j):
         q = d % n_az
         column = spectrum[:, q] if q <= n_az // 2 else spectrum[:, n_az - q].conj()
         product = amps[d:] * amps[:dim - d]
-        if per_ring:
+        if per_ring and dim - d == 1:
+            # a one-entry diagonal is one row, which the kernel sums in einsum
+            upper = np.array([[np.einsum("r,r->", product[0], column.real)], [0.0]])
+        elif per_ring:
             upper = np.stack((np.matmul(product, column.real), np.zeros(dim - d)))
         else:
             upper = np.matmul(np.stack((column.real, column.imag)), product.T)
@@ -248,9 +251,10 @@ def test_operators_independent_of_blas_thread_count():
     # over every diagonal: at j = 100 in one block, at j = 200 (dim 401, 402 rings) in
     # two.  resolution_of_unity at j = 150 on 7 azimuths runs a gemv over 302 rings on
     # every 7th diagonal.  On 2100 rings the blocks shrink to 32 rows: with 256, both
-    # sums moved at two threads.  sphere_grid(1000) runs the polar rule's contractions
-    # at n = 2002.  Each j = 100 operator is built twice: the second (warm) call reads
-    # the cached amplitudes
+    # sums moved at two threads.  On 20000 rings of one azimuth, 2j = 0 and 2 make
+    # one-row blocks, which a gemv would run as a dot product split over the rings.
+    # sphere_grid(1000) runs the polar rule's contractions at n = 2002.  Each j = 100
+    # operator is built twice: the second (warm) call reads the cached amplitudes
     code = ("import hashlib\n"
             "import numpy as np\n"
             "from spinclock import clock, coherent, grids, symbols\n"
@@ -259,6 +263,8 @@ def test_operators_independent_of_blas_thread_count():
             "grid = grids.sphere_grid(1000)\n"
             "aliased = grids.sphere_grid(150, n_azimuthal=7)\n"
             "rings = grids.sphere_grid(150, n_polar=2100, n_azimuthal=3)\n"
+            "wide = grids.SphereGrid(rho=np.geomspace(1e-3, 1e3, 20000),\n"
+            "                        ring_weights=np.full(20000, np.pi / 20000), n_azimuthal=1)\n"
             "ops = (lambda: coherent.resolution_of_unity(100),\n"
             "       lambda: clock.clock_operator(100, 0.7),\n"
             "       lambda: symbols.reconstruct_operator(sym, 100))\n"
@@ -266,7 +272,9 @@ def test_operators_independent_of_blas_thread_count():
             "more = (symbols.reconstruct_operator(sym, 200),\n"
             "        coherent.resolution_of_unity(150, aliased),\n"
             "        coherent.resolution_of_unity(150, rings),\n"
-            "        symbols.reconstruct_operator(bounded, 150, rings))\n"
+            "        symbols.reconstruct_operator(bounded, 150, rings),\n"
+            "        coherent.resolution_of_unity(0, wide),\n"
+            "        coherent.resolution_of_unity(1, wide))\n"
             "assert all(np.isfinite(op).all() for op in more)\n"
             "for op in (*cold, grid.rho, grid.ring_weights, *more, *(op() for op in ops)):\n"
             "    print(hashlib.sha256(op.tobytes()).hexdigest())\n")
@@ -278,7 +286,7 @@ def test_operators_independent_of_blas_thread_count():
                                       capture_output=True, text=True).stdout)
     assert digests[1] == digests[0] and digests[2] == digests[0]
     lines = digests[0].splitlines()
-    assert len(lines) == 12 and lines[:3] == lines[9:]
+    assert len(lines) == 14 and lines[:3] == lines[11:]
 
 
 @pytest.mark.parametrize("two_j", [200, 400])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import spinclock
 from spinclock import fock, kernels, symbols
 from spinclock.coherent import su2_coherent
 from spinclock.grids import sphere_grid
@@ -324,3 +325,9 @@ def test_default_azimuths_integrate_harmonics_up_to_n_minus_2j_minus_1(two_j):
             np.testing.assert_allclose(rel[corners], 0.5, rtol=1e-12)
             rel[corners] = 0.0
         assert np.max(rel) < tol, (h, np.max(rel) / tol)
+
+
+def test_package_exports_resolve():
+    # deparameterize turns q1 into the clock symbol; q2 is the clock oscillator's position
+    assert [name for name in spinclock.__all__ if not hasattr(spinclock, name)] == []
+    assert {"q1_position_symbol", "q2_position_symbol"} <= set(spinclock.__all__)

@@ -94,3 +94,17 @@ def test_seeds_draw_different_labels():
     overlap = [_by_name(verify.run_checks(5.0, seed=seed))["coherent.overlap_closed_form"]
                for seed in (0, 1)]
     assert overlap[0].measured != overlap[1].measured
+
+
+@pytest.mark.parametrize("quad_order", [None, 9])
+def test_run_checks_builds_the_grids_grid_shapes_names(quad_order, monkeypatch):
+    # the memory budget of `spinclock verify` reads the same shapes
+    built = []
+
+    def recording(j, n_polar=None, n_azimuthal=None):
+        built.append((n_polar, n_azimuthal))
+        return sphere_grid(j, n_polar, n_azimuthal)
+
+    monkeypatch.setattr(verify, "sphere_grid", recording)
+    verify.run_checks(2.0, quad_order=quad_order)
+    assert built == list(verify._grid_shapes(4, quad_order))
