@@ -7,7 +7,6 @@ nothing time- or thread-dependent is written to the files.
 """
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -50,7 +49,7 @@ def _parse_complex(text: str) -> complex:
     re, _, im = text.partition(",")
     z = complex(float(re), float(im) if im else 0.0)
     # |z| beyond the largest float is the chart pole z = inf to double precision
-    if not (cmath.isfinite(z) and math.isfinite(math.hypot(z.real, z.imag))):
+    if not math.isfinite(math.hypot(z.real, z.imag)):
         raise argparse.ArgumentTypeError(f"{text!r} is not a RE,IM pair of finite modulus")
     return z
 
@@ -269,14 +268,14 @@ def cmd_figure(args) -> int:
         theta = math.pi / 4 if args.theta is None else args.theta
         grid = _sweep_grid(args, "theta_prime", (theta - 0.75, theta + 0.75, 201))
         trace = clock.amplitude_correlation(theta, j, grid)
-        sweep_name = "theta_prime"
+        sweep_name, config = "theta_prime", {"kind": "amplitude", "theta_ref": theta}
     else:
         if args.theta is not None:
             raise SpinclockError("figure 2 does not read --theta")
         grid = _sweep_grid(args, "delta_phi", (-math.pi, math.pi, 201))
         xi_mag = 1.0 if args.xi_mag is None else args.xi_mag
         trace = clock.phase_correlation(xi_mag, j, grid)
-        sweep_name = "delta_phi"
+        sweep_name, config = "delta_phi", {"kind": "phase", "xi_mag": xi_mag}
     n = len(trace.sweep)
     cols = {
         sweep_name: list(trace.sweep),
@@ -285,9 +284,8 @@ def cmd_figure(args) -> int:
         "sigma2_fit": [trace.sigma2_fit] * n,
         "sigma2_pred": [trace.sigma2_pred] * n,
     }
-    meta = _meta(args, command=f"figure{args.which}", j=j, chart=chart)
-    meta.update({k: v for k, v in trace.meta.items() if k not in meta})
-    _write_table(cols, meta, args.format, args.out)
+    _write_table(cols, _meta(args, command=f"figure{args.which}", j=j, chart=chart, **config),
+                 args.format, args.out)
     return 0
 
 

@@ -4,6 +4,10 @@ One oscillator's position is read against the other's: the gauge angle
 theta is the phase of oscillator 2, so conditioning on a clock reading
 fixes theta = omega*tau + phi' (one root per period; the second root of
 the position clock is excluded, as for the classical arccos branch).
+deparameterize and clock_operator read this slice angle from _slice_angle,
+as it is: it is not reduced mod 2 pi, whose rounded value would move the
+angle by about tau eps, and a non-finite one, from a non-finite tau, omega
+or phi' or an omega*tau that overflows, raises a ValueError naming all three.
 With q = sqrt(hbar/2 omega)(a + a^dagger) the lower symbol of q1 is
 sqrt(2 hbar/omega) |alpha| cos(theta + arg xi), and its radial mean on the
 slice has the closed form
@@ -57,7 +61,6 @@ class CorrelationTrace:
     gaussian: np.ndarray
     sigma2_fit: float
     sigma2_pred: float
-    meta: dict
 
 
 def deparameterize(sym: FullLowerSymbol, m: int, tau: float,
@@ -66,9 +69,23 @@ def deparameterize(sym: FullLowerSymbol, m: int, tau: float,
 
     Returns the reduced symbol xi -> int sym(xi, r, theta_slice) against
     the normalized radial weight r^{m+1} e^{-r} / (m+1)!, integrated by the
-    rule radial_grid(m); it takes a scalar or an array of xi.
+    rule radial_grid(m); it takes a scalar or an array of xi.  ValueError
+    where the slice angle is not finite (see _slice_angle).
     """
-    return _reduction(sym, m, np.array([math.fmod(omega * tau + phi_prime, 2.0 * math.pi)]))
+    return _reduction(sym, m, np.array([_slice_angle(tau, phi_prime, omega)]))
+
+
+def _slice_angle(tau: float, phi_prime: float, omega: float) -> float:
+    """The gauge angle omega*tau + phi' that the clock reading tau fixes, not reduced mod 2 pi.
+
+    ValueError where it is not finite: a non-finite tau, omega or phi', or
+    an omega*tau that overflows.
+    """
+    theta = float(omega) * float(tau) + float(phi_prime)
+    if not math.isfinite(theta):
+        raise ValueError(f"the clock slice angle omega*tau + phi' is not finite at "
+                         f"tau={tau!r}, omega={omega!r}, phi_prime={phi_prime!r}")
+    return theta
 
 
 def slice_amplitude(m: int) -> float:
@@ -167,15 +184,16 @@ def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
 
         C[n, n+1] = (2j+1) G sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+1/2) e^{i psi} / sqrt(2 omega),
 
-    C[n+1, n] its conjugate and every other entry exactly 0.
+    C[n+1, n] its conjugate and every other entry exactly 0.  ValueError
+    where psi is not finite (see _slice_angle).
     """
     two_j = _check_two_j(j)
+    psi = _slice_angle(tau, phi_prime, omega)
     dim = two_j + 1
     out = np.zeros((dim, dim), dtype=np.complex128)
     # flat views: entry (n, n') of out is element n * dim + n'
     above, below = out.reshape(-1)[1::dim + 1], out.reshape(-1)[dim::dim + 1]
-    above[:] = _clock_magnitudes(two_j) * (math.sqrt(1.0 / omega)
-                                           * np.exp(1j * (omega * tau + phi_prime)))
+    above[:] = _clock_magnitudes(two_j) * (math.sqrt(1.0 / omega) * np.exp(1j * psi))
     below[:] = above.conj()
     return out
 
@@ -183,8 +201,9 @@ def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
 @functools.lru_cache(maxsize=16)
 def _clock_magnitudes(two_j: int) -> np.ndarray:
     """|C[n, n+1]| of clock_operator at omega = 1 for n = 0..2j-1; cached per 2j, read-only."""
-    log_beta = np.array([math.lgamma(k + 2.0) + math.lgamma(two_j - k + 0.5)
-                         for k in range(two_j)]) - math.lgamma(two_j + 2.5)
+    # log B(n+2, m-n+1/2) = log (n+1)! + log Gamma(m-n+1/2) - log Gamma(m+5/2)
+    log_beta = kernels._log_factorials(two_j)[1:] \
+        + np.array([math.lgamma(two_j - k + 0.5) for k in range(two_j)]) - math.lgamma(two_j + 2.5)
     half = kernels._log_binomial_halves(two_j)
     out = (two_j + 1) * (0.5 * slice_amplitude(two_j)) * np.exp(half[:-1] + half[1:] + log_beta)
     out.flags.writeable = False
@@ -233,8 +252,7 @@ def amplitude_correlation(theta_ref: float, j: float,
             "theta_ref at the chart pole; parametrize from the other chart (swap the "
             "oscillators, theta -> pi/2 - theta, which toggling --antipodal does)")
     ov = np.abs(np.cos(theta_sweep - theta_ref)) ** two_j
-    return _fitted_trace(theta_sweep, ov, 1.0 / (2.0 * j),
-                         {"kind": "amplitude", "j": j, "theta_ref": theta_ref})
+    return _fitted_trace(theta_sweep, ov, 1.0 / (2.0 * j))
 
 
 def phase_correlation(xi_mag: float, j: float,
@@ -248,10 +266,7 @@ def phase_correlation(xi_mag: float, j: float,
     two_j = _correlation_two_j(j)
     if xi_mag <= 0:
         raise ValueError("|xi| = 0 carries no phase information")
-    try:
-        t = xi_mag**2
-    except OverflowError:
-        t = math.inf
+    t = float(kernels.abs_and_square(xi_mag)[1])
     # at |xi|^2 = 0 or inf one oscillator holds every quantum and E1 E2 = 0
     if not 0.0 < t < math.inf:
         raise ValueError(f"|xi|^2 leaves the float range at xi_mag={xi_mag!r}")
@@ -260,8 +275,7 @@ def phase_correlation(xi_mag: float, j: float,
     ov = (np.abs(1.0 + t * np.exp(1j * dphi_sweep)) / (1.0 + t)) ** two_j
     e1 = two_j * t / (1.0 + t)
     e2 = two_j / (1.0 + t)
-    return _fitted_trace(dphi_sweep, ov, two_j / (e1 * e2),
-                         {"kind": "phase", "j": j, "xi_mag": xi_mag})
+    return _fitted_trace(dphi_sweep, ov, two_j / (e1 * e2))
 
 
 def _correlation_two_j(j: float) -> int:
@@ -272,10 +286,9 @@ def _correlation_two_j(j: float) -> int:
     return two_j
 
 
-def _fitted_trace(sweep: np.ndarray, ov: np.ndarray, sigma2_pred: float,
-                  meta: dict) -> CorrelationTrace:
+def _fitted_trace(sweep: np.ndarray, ov: np.ndarray, sigma2_pred: float) -> CorrelationTrace:
     """The CorrelationTrace of the overlaps ov over sweep, with their fitted Gaussian width."""
     sigma2_fit, fitted = fit_gaussian_width(sweep, ov)
     return CorrelationTrace(sweep=sweep, overlap=ov, gaussian=fitted, sigma2_fit=sigma2_fit,
-                            sigma2_pred=sigma2_pred, meta=meta)
+                            sigma2_pred=sigma2_pred)
 

@@ -41,20 +41,20 @@ def project_coherent(alpha: complex, beta: complex, m_prime: int
 
     Returns (amplitudes, norm_sq) where amplitudes[n] is the
     (unnormalized) coefficient of |n, m'-n> and norm_sq is the projected
-    weight e^{-r} r^{m'} / m'! with r = |alpha|^2 + |beta|^2.
+    weight e^{-r} r^{m'} / m'! with r = |alpha|^2 + |beta|^2.  ValueError
+    for m' < 0.
     """
-    if m_prime < 0:
-        raise ValueError("m_prime must be nonnegative")
+    _check_m(m_prime)
     r = abs(alpha) ** 2 + abs(beta) ** 2
     n = np.arange(m_prime + 1)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(m_prime + 1)])
+    log_fact = kernels._log_factorials(m_prime)
     # in the log domain, where the linear powers over- and underflow; 0^0 = 1
     with np.errstate(divide="ignore", invalid="ignore"):
         log_mag = -0.5 * (r + log_fact + log_fact[::-1]) \
             + np.where(n > 0, n * np.log(abs(alpha)), 0.0) \
             + np.where(n < m_prime, (m_prime - n) * np.log(abs(beta)), 0.0)
     amps = np.exp(log_mag + 1j * (n * cmath.phase(alpha) + (m_prime - n) * cmath.phase(beta)))
-    norm_sq = math.exp(-r + m_prime * math.log(r) - math.lgamma(m_prime + 1)) \
+    norm_sq = math.exp(-r + m_prime * math.log(r) - log_fact[-1]) \
         if r > 0 else (1.0 if m_prime == 0 else 0.0)
     return amps, norm_sq
 

@@ -94,14 +94,15 @@ def _log_binomial_halves(two_j: int) -> np.ndarray:
 
     Cached per 2j; the array is read-only.
     """
-    lg = math.lgamma(two_j + 1)
-    out = 0.5 * (
-        lg
-        - np.array([math.lgamma(k + 1) for k in range(two_j + 1)])
-        - np.array([math.lgamma(two_j - k + 1) for k in range(two_j + 1)])
-    )
+    lf = _log_factorials(two_j)
+    out = 0.5 * (lf[-1] - lf - lf[::-1])
     out.flags.writeable = False
     return out
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, by math.lgamma; a new array on every call."""
+    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
 
 
 def abs_and_square(xi) -> tuple[np.ndarray, np.ndarray]:

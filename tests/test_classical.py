@@ -91,6 +91,12 @@ def test_clock_readout_branch_against_root_find():
     assert q1_true == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_clock_readout_undefined_without_clock_amplitude():
+    cfg = classical.ClassicalConfig(A=1, B=0, phi=0, phi_prime=0, E=0.5)
+    with pytest.raises(ChartSingularityError, match="B = 0"):
+        classical.classical_clock_readout(cfg, 0.0)
+
+
 def test_clock_readout_range_error():
     cfg = classical.ClassicalConfig(A=1, B=0.5, phi=0, phi_prime=0, E=0.625)
     with pytest.raises(ClockRangeError):

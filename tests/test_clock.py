@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -38,15 +39,30 @@ def test_deparameterize_array_equals_scalar_calls():
 
 def test_deparameterize_q1_matches_closed_form_up_to_constant():
     # the radial rule on the slice of q1's lower symbol gives the closed form itself:
-    # the constant between them is 1, in any units
+    # the constant between them is 1, in any units.  The slice angle is not reduced
+    # mod 2 pi: reduced by fmod, it sat 4.4e-11 (tau = 1e6) and 1.4e-8 (tau = 1e9) away
     m = 15
     for omega, hbar in ((1.0, 1.0), (1.7, 0.5)):
         q1 = lambda xi, r, th: symbols.q1_position_symbol(xi, r, th, omega, hbar)
-        for tau in (0.0, 0.9, 2.7):
+        for tau in (0.0, 0.9, 2.7, 1e3, 1e6, 1e9):
             at_slice = clock.deparameterize(q1, m, tau, phi_prime=0.4, omega=omega)
             xis = np.array([0.8 + 0j, 0.3 - 1.1j, 2.0 + 0.5j])
             closed = clock.clock_symbol_q1(xis, m, tau, 0.4, omega, hbar)
             assert np.max(np.abs(at_slice(xis) - closed)) < 1e-12 * np.max(np.abs(closed))
+
+
+@pytest.mark.parametrize("tau, phi_prime, omega", [
+    (math.inf, 0.0, 1.0), (-math.inf, 0.0, 1.0), (math.nan, 0.0, 1.0),
+    (0.5, math.inf, 1.0), (0.5, math.nan, 1.0),
+    (0.5, 0.0, math.inf), (0.5, 0.0, math.nan),
+    (1e308, 0.0, 10.0)])
+def test_clock_refuses_non_finite_slice_angle(tau, phi_prime, omega):
+    # the last case is finite, but omega*tau overflows
+    named = re.escape(f"tau={tau!r}, omega={omega!r}, phi_prime={phi_prime!r}")
+    with pytest.raises(ValueError, match=named):
+        clock.deparameterize(symbols.q1_position_symbol, 3, tau, phi_prime, omega)
+    with pytest.raises(ValueError, match=named):
+        clock.clock_operator(2, tau, phi_prime, omega)
 
 
 def test_clock_symbol_zero_label():
@@ -156,6 +172,11 @@ def test_classical_limit_phase_and_amplitude():
     assert devs[0] > devs[1] > devs[2]
     # m = 100 -> 400 shrinks the deviation by about 4x
     assert devs[1] / devs[2] == pytest.approx(4.0, rel=0.2)
+
+
+def test_classical_limit_check_refuses_zero_label():
+    with pytest.raises(ValueError, match="no oscillator-1 signal"):
+        clock.classical_limit_check(0j, [10], np.linspace(0, 2 * math.pi, 16))
 
 
 def test_classical_limit_real_label_in_phase():
@@ -330,6 +351,20 @@ def test_phase_correlation_unequal_energies():
 def test_phase_correlation_degenerate_label():
     with pytest.raises(ValueError):
         clock.phase_correlation(0.0, 5.0, np.linspace(-1, 1, 51))
+
+
+def test_fit_gaussian_width_refuses_coarse_sweep():
+    # 5 samples above e^-2 of the peak, where the quartic fit needs 7
+    x = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="sweep too coarse"):
+        clock.fit_gaussian_width(x, np.exp(-x**2))
+
+
+def test_fit_gaussian_width_refuses_valley():
+    # log y = x^2 has a positive quadratic coefficient about any sample
+    x = np.linspace(-1.0, 1.0, 41)
+    with pytest.raises(ValueError, match="no concave peak"):
+        clock.fit_gaussian_width(x, np.exp(x**2))
 
 
 def test_width_scaling_approaches_prediction():

@@ -88,6 +88,11 @@ def test_project_coherent_m_zero_norm():
     assert abs(amps[0]) ** 2 == pytest.approx(norm_sq, rel=1e-12)
 
 
+def test_project_coherent_rejects_negative_sector():
+    with pytest.raises(ValueError, match=r"the quanta m must be nonnegative, got m=-1"):
+        coherent.project_coherent(0.3 + 0.4j, -1.1 + 0.2j, -1)
+
+
 def test_project_coherent_matches_su2_direction():
     amps, norm_sq = coherent.project_coherent(1.0, 1.0, 2)
     assert norm_sq == pytest.approx(2 * math.exp(-2), rel=1e-12)

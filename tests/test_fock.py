@@ -27,6 +27,12 @@ def test_constraint_eigencheck_rejects_half_integer():
     assert exc.value.residual == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("energy", [0.0, -1.0])
+def test_constraint_eigencheck_rejects_nonpositive_energy(energy):
+    with pytest.raises(ValueError, match="E must be positive"):
+        fock.constraint_eigencheck(energy)
+
+
 def test_constraint_eigencheck_units():
     # E = 6, omega = 2, hbar = 1 -> E' = 2
     assert fock.constraint_eigencheck(6.0, omega=2.0) == 2

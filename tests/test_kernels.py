@@ -342,6 +342,15 @@ def test_second_operator_at_the_same_spin_computes_no_amplitudes_or_lgamma(monke
     assert len(tables) == 1 and len(lgammas) == 2
 
 
+def test_log_factorials_match_mpmath():
+    lf = kernels._log_factorials(400)
+    exact = np.array([float(mpmath.log(mpmath.factorial(k))) for k in range(401)])
+    assert lf[0] == lf[1] == 0.0
+    assert np.max(np.abs(lf[2:] - exact[2:]) / exact[2:]) < 4 * np.finfo(float).eps
+    assert np.array_equal(kernels._log_binomial_halves(400),
+                          0.5 * (lf[-1] - lf - lf[::-1]))
+
+
 def test_cached_arrays_are_read_only():
     grid = sphere_grid(4.5)
     for a in (kernels._ring_amplitudes(grid.rho.tobytes(), 9), kernels._log_binomial_halves(9),
