@@ -8,6 +8,8 @@ deparameterize and clock_operator read this slice angle from _slice_angle,
 as it is: it is not reduced mod 2 pi, whose rounded value would move the
 angle by about tau eps, and a non-finite one, from a non-finite tau, omega
 or phi' or an omega*tau that overflows, raises a ValueError naming all three.
+clock_symbol_q1 and clock_operator scale by sqrt(hbar/omega), and raise a
+ValueError naming omega or hbar unless it is finite and > 0.
 With q = sqrt(hbar/2 omega)(a + a^dagger) the lower symbol of q1 is
 sqrt(2 hbar/omega) |alpha| cos(theta + arg xi), and its radial mean on the
 slice has the closed form
@@ -88,6 +90,13 @@ def _slice_angle(tau: float, phi_prime: float, omega: float) -> float:
     return theta
 
 
+def _check_scales(**scales):
+    """ValueError naming the first of scales (omega, hbar) that is not finite and > 0."""
+    for name, value in scales.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {name}={value!r}")
+
+
 def slice_amplitude(m: int) -> float:
     """sqrt(2) G(m), G(m) = Gamma(m+5/2)/(m+1)!: the amplitude of q1' at |xi| -> inf,
     in units of sqrt(hbar/omega); via log-Gamma (G overflows directly for m ~ 170)."""
@@ -104,9 +113,11 @@ def clock_symbol_q1(xi, m: int, tau, phi_prime=0.0, omega: float = 1.0, hbar: fl
     Each element has the bits of a call with scalar arguments as long as
     np.angle takes the same arctan2 loop for 0-d, contiguous and strided
     labels, as it does on the numpy in use where
-    test_clock_symbol_broadcast_equals_scalar_calls passes.
+    test_clock_symbol_broadcast_equals_scalar_calls passes.  ValueError
+    unless omega and hbar are finite and > 0.
     """
     _check_m(m)
+    _check_scales(omega=omega, hbar=hbar)
     xi = np.asarray(xi, dtype=np.complex128)
     num, den = _modulus_over_norm(xi)
     phase = omega * np.asarray(tau, dtype=float) + phi_prime + np.angle(xi)
@@ -185,10 +196,12 @@ def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
         C[n, n+1] = (2j+1) G sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+1/2) e^{i psi} / sqrt(2 omega),
 
     C[n+1, n] its conjugate and every other entry exactly 0.  ValueError
-    where psi is not finite (see _slice_angle).
+    where psi is not finite (see _slice_angle), or unless omega is finite
+    and > 0.
     """
     two_j = _check_two_j(j)
     psi = _slice_angle(tau, phi_prime, omega)
+    _check_scales(omega=omega)
     dim = two_j + 1
     out = np.zeros((dim, dim), dtype=np.complex128)
     # flat views: entry (n, n') of out is element n * dim + n'

@@ -7,11 +7,13 @@ rank-one projectors  sum_k c_k |xi_k><xi_k|  over a sphere grid.
 Every |xi| and |xi|^2 of a chart label comes from abs_and_square, rounded
 as Python's abs(xi) and abs(xi) ** 2, so the amplitudes, the overlap
 closed form, the clock symbol and the spin symbols read one modulus.
-Amplitudes are computed in the log domain so that large spins and large
-|xi| neither overflow nor lose the normalization; log(1 + |xi|^2) stays
-finite where |xi|^2 itself overflows (log1p_square), and where a closed
-form needs |xi|^2 itself it reads the antipodal label 1/xi instead
-(antipodal_where_far).
+The amplitude moduli come from a log-free recurrence run outward from
+each label's mode (_magnitudes), so large spins and large |xi| neither
+overflow nor lose the normalization, and each is off by a few eps, not by
+the O(j eps) of a log sum whose terms of size j log j cancel.
+log(1 + |xi|^2) stays finite where |xi|^2 itself overflows
+(log1p_square), and where a closed form needs |xi|^2 itself it reads the
+antipodal label 1/xi instead (antipodal_where_far).
 
 The projector sum works on the rings of the sphere grid (see grids).
 On a ring of radius rho the amplitudes factor as a_n(rho) e^{i n phi}
@@ -22,30 +24,45 @@ with real a_n, so entry (n, n') of the sum is
 and the inner sum is column (n' - n) mod n_azimuthal of the azimuthal
 FFT of c on that ring.  Coefficients given one per ring reach only
 column 0, so no FFT runs and only the diagonals d = 0 mod n_azimuthal
-are computed, each as one real sum over the rings written straight into
-the result, the rest being exactly zero.  For real per-node
-coefficients one np.fft.rfft per ring gives every column, and the kernel
-computes one triangle and mirrors it as its conjugate, so the result is
-exactly Hermitian.  Each computed diagonal d costs a weighted sum over
-the rings of a_n a_{n-d}: per-node coefficients cost O(n_polar (n_az log
-n_az + dim^2)) against O(npts dim^2) for the dense sum over the nodes,
-per-ring ones O(n_polar dim) if n_az > 2j.
+are computed, each as one real sum over the rings of the products
+a_i a_{i+d}, written straight into the result, the rest being exactly
+zero.  For real per-node coefficients one np.fft.rfft per ring gives
+every column, and the kernel computes one triangle and mirrors it as its
+conjugate, so the result is exactly Hermitian.  Per-node coefficients
+cost O(n_polar (n_az log n_az + dim^2)) against O(npts dim^2) for the
+dense sum over the nodes, per-ring ones O(n_polar dim) if n_az > 2j.
 
-The temporaries are n_polar x n_az and n_polar x dim, never npts x dim:
-the spectrum columns the diagonals read are gathered once into a
-(dim, 2, n_polar) real array, and the products a_n a_{n-d} are formed in
-blocks of 256 rows, halved while a block holds more than 2**17 products,
-in one reused buffer.  Each block's sums over the rings are one
-np.matmul: a gemm of the two rows of spectrum with the block, or for
-per-ring coefficients a gemv of the block with the ring sums.  The gemm
-writes straight into a packed triangle: Re and Im of entries
+Per-node coefficients fill every diagonal by anti-diagonals.  Entry
+(l, u) of the triangle, l <= u, has s = l + u, and at every rho
+
+    a_l a_u = R_{l,u} G_s,   G_s = a_{s//2} a_{s-s//2},
+    R_{l,u} = sqrt(C(2j,l) C(2j,u) / (C(2j,s//2) C(2j,s-s//2))),
+
+since the powers of rho and of 1+rho^2 are the same on both sides.  So
+one table of 4j+1 rows G_s serves every diagonal, in place of the
+dim - d products a_i a_{i+d} that each diagonal d formed anew: the
+products fall from dim (dim+1)/2 to 2 dim - 1 rows per call.  The rows of
+one parity are formed at a time, a_i^2 for even s and a_i a_{i+1} for odd
+s, into one (dim, n_polar) buffer, so every even diagonal runs, then
+every odd one; diagonal d reads the rows s = d, d+2, .., 4j-d, a
+contiguous slice.  Its sums over the rings are one np.matmul, a gemm of
+the two rows (Re, Im) of its spectrum column with that slice, in blocks
+of at most 256 rows, halved while a block holds more than 2**17
+products, straight into a packed triangle: Re and Im of entries
 (i, i+d), diagonal after diagonal, dim (dim+1) floats held in the first
-half of the result's own buffer.  After the last diagonal one mirror
-writes a copy of the packed triangle, and its conjugate, into the
-result: the main diagonal through a strided view, each off-diagonal
-triangle through one boolean-masked view of the result reshaped to
-(dim-1, dim+1), which lists its entries in the packed order.  No
-diagonal allocates or writes anything of its own.
+half of the result's own buffer.  After the last diagonal the packed
+triangle is multiplied once by the read-only table of R in the same
+order (_binomial_ratios).  R <= 1 since the binomials are log-concave,
+and R = 1 on d = 0 and 1; the table is built along the anti-diagonals,
+whose steps have exact integer factors, and cached per 2j, 4 dim (dim+1)
+bytes, half of the ring amplitude table: 162 KB at j = 100, 16 MB at
+j = 1000.  Then one mirror writes a copy of the packed triangle, and its
+conjugate, into the result: the main diagonal through a strided view,
+each off-diagonal triangle through one boolean-masked view of the
+result reshaped to (dim-1, dim+1), which lists its entries in the packed
+order.  The temporaries are n_polar x n_az and n_polar x dim, never
+npts x dim: the spectrum columns gathered once into a (dim, 2, n_polar)
+real array, and the buffer of G rows.
 
 The sums run in BLAS, yet their bytes do not depend on the BLAS thread
 count, since each call is kept small.  Measured with numpy's OpenBLAS
@@ -56,21 +73,25 @@ products stays 3.5 times below either.  A one-row block of per-ring
 coefficients is summed in einsum instead: numpy runs a one-row gemv as a
 dot product, which OpenBLAS splits over the rings beyond 10**4 of them.
 
-The sum does no subnormal arithmetic on the amplitudes, which costs a
-microcode assist per operation on common x86 cores.  Ring amplitudes
-below 2**-511 are set to 0; every a_n <= 1, so the product of two kept
-amplitudes is at least 2**-1022, the smallest normal double.  Each
-dropped term is below 2**-511 |c_k|, so no entry moves by more than
-2**-511 sum_k |c_k|, far below the sum's own rounding bound
+The ring sums do almost no subnormal arithmetic, which costs a microcode
+assist per operation on common x86 cores.  Ring amplitudes below
+2**-450 are set to 0.  Every a_n <= 1, so each kept G_s, or product of
+two kept amplitudes, is at least 2**-900, and its product with a
+spectrum entry c is normal unless |c| < 2**-122.  A term a_l a_u c_k is
+dropped only where a factor it is formed from (a_l or a_u for per-ring
+coefficients, a_{s//2} or a_{s-s//2} for per-node ones) is below 2**-450,
+and then a_l a_u < 2**-450 since a_l a_u <= G_s: no entry moves by more
+than 2**-450 sum_k |c_k|, far below the sum's own rounding bound
 eps sum_k |c_k|.
 
 Every operator at spin j on one grid reads the same ring amplitudes, so
 each process computes them once: a bounded LRU cache keeps the flushed
 (2j+1, n_polar) table per ring radii (their bytes, so no grid reads
 another grid's table) and 2j, 8 (2j+1) n_polar bytes each (82 KB at
-j = 50, 32 MB at j = 1000 on the default grids), and another keeps the
-log binomials per 2j.  Both hand out read-only arrays; each operator is a
-new writable matrix.
+j = 50, 32 MB at j = 1000 on the default grids), another the table of R
+per 2j, and another the log binomials per 2j that the clock operator
+reads.  All hand out read-only arrays; each operator is a new writable
+matrix.
 """
 
 import functools
@@ -80,10 +101,10 @@ import numpy as np
 
 from .grids import SphereGrid
 
-# ring amplitudes below this are dropped (see ring_projector_sum)
-_FLUSH_BELOW = 2.0 ** -511
-# ring_projector_sum forms the amplitude products in blocks of this many rows, halved
-# while a block holds more than _BLOCK_SIZE products (see its docstring)
+# ring amplitudes below this are dropped (see the module docstring)
+_FLUSH_BELOW = 2.0 ** -450
+# ring_projector_sum sums the amplitude products over the rings in blocks of this many
+# rows, halved while a block holds more than _BLOCK_SIZE products (see _block_rows)
 _BLOCK_ROWS = 256
 _BLOCK_SIZE = 2 ** 17
 
@@ -147,45 +168,94 @@ def antipodal_where_far(xi) -> tuple[np.ndarray, ...]:
     return (u, far) + abs_and_square(u)
 
 
-def _log_magnitudes(xi: np.ndarray, two_j: int) -> np.ndarray:
-    """log |c_n| = 0.5 log C(2j,n) + n log|xi| - j log(1+|xi|^2) for labels xi != 0.
+def _magnitudes(rho: np.ndarray, two_j: int) -> np.ndarray:
+    """|c_n| = sqrt(C(2j,n)) rho^n / (1+rho^2)^j at moduli rho >= 0, a (2j+1, len(rho)) array.
 
-    Returns a (len(xi), 2j+1) real array.
+    No logarithm: each column runs the recurrence
+    a_{n+1} = a_n rho sqrt((2j-n)/(n+1)) outward from its mode m, the first
+    n at which that factor falls below 1, from a_m = 1, by one cumprod
+    upward and one downward (each step there divides by the factor), and is
+    then divided by sqrt(sum_n a_n^2).  Every factor taken outward from the
+    mode is at most 1, so nothing overflows, and each amplitude is off by
+    the roundings of its steps from the mode and of the norm, not by the
+    O(j eps) of a cancelling log sum (test_ring_amplitudes_match_mpmath).
+    rho = 0 gives e_0 and a NaN modulus a NaN column.  Both cumprods run in
+    place, down the rows, so the temporaries are one more (2j, len(rho))
+    array and boolean masks.
     """
-    ax, ax_sq = abs_and_square(xi)
-    base = -0.5 * two_j * log1p_square(ax, ax_sq)
-    return _log_binomial_halves(two_j)[None, :] + np.outer(np.log(ax), np.arange(two_j + 1)) \
-        + base[:, None]
+    k = np.arange(two_j, dtype=np.float64)[:, None]
+    out = np.empty((two_j + 1, len(rho)))
+    out[0] = 1.0
+    fall = np.empty((two_j, len(rho)))
+    # out[k+1] = a_{k+1} / a_k from the mode up, fall[k] = a_k / a_{k+1} below it; the
+    # factors that overflow, for rho near 0 or DBL_MAX, lie on the side that is set to 1
+    with np.errstate(divide="ignore", over="ignore"):
+        np.multiply(np.sqrt((two_j - k) / (k + 1.0)), rho, out=out[1:])
+        np.divide(np.sqrt((k + 1.0) / (two_j - k)), rho, out=fall)
+    below = k < np.count_nonzero(out[1:] >= 1.0, axis=0)
+    np.copyto(out[1:], 1.0, where=below)
+    np.copyto(fall, 1.0, where=np.logical_not(below, out=below))
+    np.multiply.accumulate(out, axis=0, out=out)
+    np.multiply.accumulate(fall[::-1], axis=0, out=fall[::-1])
+    out[:-1] *= fall
+    del fall
+    # the squares of each column in a row of their own, so that sum adds them pairwise
+    out /= np.sqrt(np.square(out.T, order="C").sum(axis=1))
+    return out
 
 
 def coherent_amplitudes(xi, two_j: int) -> np.ndarray:
     """Amplitude vectors of spin coherent states for a batch of labels.
 
     Returns an (npts, 2j+1) complex array; row k holds the coefficients
-    c_n = (1+|xi_k|^2)^{-j} sqrt(C(2j,n)) xi_k^n on the number basis.
+    c_n = (1+|xi_k|^2)^{-j} sqrt(C(2j,n)) xi_k^n on the number basis, as
+    |c_n| from _magnitudes times e^{i n arg xi_k}.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=np.complex128))
-    out = np.zeros((xi.shape[0], two_j + 1), dtype=np.complex128)
-    nz = xi != 0
-    out[~nz, 0] = 1.0
-    ph = np.angle(xi[nz])
-    out[nz, :] = np.exp(_log_magnitudes(xi[nz], two_j) + 1j * np.outer(ph, np.arange(two_j + 1)))
-    return out
+    phase = np.exp(1j * np.multiply.outer(np.angle(xi), np.arange(two_j + 1)))
+    return np.multiply(_magnitudes(abs_and_square(xi)[0], two_j).T, phase, out=phase)
 
 
 @functools.lru_cache(maxsize=4)
 def _ring_amplitudes(rho: bytes, two_j: int) -> np.ndarray:
-    """Ring amplitudes a_n(rho_p) as a (2j+1, n_polar) array, those below 2**-511 set to 0.
+    """Ring amplitudes a_n(rho_p) as a (2j+1, n_polar) array, those below 2**-450 set to 0.
 
     rho holds the float64 bytes of the ring radii.  Every ring starts at
     azimuth 0, where the amplitudes are real (rho > 0 at every
     Gauss-Legendre node).  Cached per radii and 2j; the array is read-only.
     """
-    amps = np.exp(_log_magnitudes(np.frombuffer(rho), two_j)).T.copy()
-    # a_n <= 1, so a product of two kept amplitudes is at least 2**-1022, never subnormal
+    amps = _magnitudes(np.frombuffer(rho), two_j)
+    # a_n <= 1, so a product of two kept amplitudes is at least 2**-900 (see the module docstring)
     amps[amps < _FLUSH_BELOW] = 0.0
     amps.flags.writeable = False
     return amps
+
+
+@functools.lru_cache(maxsize=4)
+def _binomial_ratios(two_j: int) -> np.ndarray:
+    """R_{n,d} = sqrt(C(2j,n-d) C(2j,n) / (C(2j,s//2) C(2j,s-s//2))), s = 2n - d, in packed order.
+
+    Entry d dim - d (d-1)/2 + i is R of entry (i, i+d), as in the packed
+    triangle of ring_projector_sum, so a_i a_{i+d} = R G_s with
+    G_s = a_{s//2} a_{s-s//2} at every rho.  R = 1 on d = 0 and 1; each
+    diagonal d >= 2 is one step out along the anti-diagonals from diagonal
+    d - 2, R(l-1, u+1) = R(l, u) sqrt(l (2j-u) / ((2j-l+1) (u+1))), whose
+    integer factors are exact.  R <= 1 since the binomials are log-concave.
+    Cached per 2j; 4 dim (dim+1) bytes, the array is read-only.
+    """
+    dim = two_j + 1
+    out = np.ones(dim * (dim + 1) // 2)
+    for d in range(2, dim):
+        # entry (l-1, u+1) of diagonal d from entry (l, u) = (i+1, i+d-1) of diagonal d-2
+        low = np.arange(1, dim - d + 1)
+        up = low + d - 2
+        inner = (d - 2) * dim - (d - 2) * (d - 3) // 2 + 1
+        offset = d * dim - d * (d - 1) // 2
+        np.multiply(out[inner:inner + dim - d],
+                    np.sqrt(low * (two_j - up) / ((two_j - low + 1) * (up + 1))),
+                    out=out[offset:offset + dim - d])
+    out.flags.writeable = False
+    return out
 
 
 def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
@@ -196,12 +266,13 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     d = 0 mod n_azimuthal are computed, each as one real sum over the
     rings, and the rest are exactly zero, so a grid with n_azimuthal <= 2j
     still gives the aliased quadrature sum.  Per-node coefficients fill
-    every diagonal: each block's sums go straight into a packed upper
-    triangle, and one mirror after the last diagonal writes it and its
+    every diagonal by anti-diagonals: the ring sums of G_s = a_{s//2}
+    a_{s-s//2} go straight into a packed upper triangle, which is then
+    multiplied once by _binomial_ratios, and one mirror writes it and its
     conjugate into the result (see the module docstring).  Real
     coefficients give an exactly Hermitian result; complex ones are
-    summed as S(Re coeff) + i S(Im coeff).  Ring amplitudes below 2**-511
-    are dropped, which moves no entry by more than 2**-511 sum_k |coeff[k]|
+    summed as S(Re coeff) + i S(Im coeff).  Ring amplitudes below 2**-450
+    are dropped, which moves no entry by more than 2**-450 sum_k |coeff[k]|
     (see the module docstring).  The sums over the rings run in BLAS, one
     np.matmul per block of at most 2**17 products, a size at which their
     bytes do not depend on the BLAS thread count, but for one-row blocks of
@@ -216,6 +287,9 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     amps = _ring_amplitudes(np.asarray(grid.rho, dtype=np.float64).tobytes(), two_j)
     if coeff.shape[1] == 1:
         return _ring_constant_sum(amps, n_az * coeff[:, 0], n_az)
+    # a first call at this 2j builds the table here, while the heap holds no more than
+    # the coefficients: built after the loop, it left the process 0.4 MiB larger at j = 100
+    ratios = _binomial_ratios(two_j)
     # spectrum[p, q] = sum_a coeff[p, a] e^{-2 pi i q a / n_az} for q <= n_az // 2;
     # column n_az - q is its conjugate because coeff is real
     spectrum = np.fft.rfft(coeff, axis=1)
@@ -228,23 +302,26 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     cols[:, 1] = spectrum.imag.T[q]
     np.negative(cols[:, 1], out=cols[:, 1], where=mirrored[:, None])
     del spectrum
-    product = _product_buffer(dim, n_polar)
+    block = _block_rows(n_polar)
+    half = np.empty((dim, n_polar))
     out = np.empty((dim, dim), dtype=np.complex128)
     # packed[:, k] holds Re and Im of entry (i, i+d), k = offset_d + i, diagonal after
     # diagonal, in the first dim (dim+1) floats of the result's own buffer, so the loop
-    # holds no more than cols, product and the result.  A result allocated after the loop
+    # holds no more than cols, half and the result.  A result allocated after the loop
     # instead sat on top of the heap, and freeing it later trimmed the heap (about 0.2 ms)
     packed = out.reshape(-1).view(np.float64)[:dim * (dim + 1)].reshape(2, -1)
-    offset = 0
-    for d in range(dim):
-        for start in range(0, dim - d, len(product)):
-            stop = min(start + len(product), dim - d)
-            # entries (n-d, n) carry e^{-i d phi}: sum_p a_{n-d} a_n cols[d, :, p]
-            block = np.multiply(amps[d + start:d + stop], amps[start:stop],
-                                out=product[:stop - start])
-            np.matmul(cols[d], block.T, out=packed[:, offset + start:offset + stop])
-        offset += dim - d
-    del cols, product
+    for parity in (0, 1):
+        # row i of g is G_{2i+parity}: a_i^2 for even s, a_i a_{i+1} for odd s
+        g = np.multiply(amps[:dim - parity], amps[parity:], out=half[:dim - parity])
+        for d in range(parity, dim, 2):
+            # entries (i, i+d) carry e^{-i d phi} and s = 2i + d, row d // 2 + i of g
+            offset = d * dim - d * (d - 1) // 2
+            for start in range(0, dim - d, block):
+                stop = min(start + block, dim - d)
+                np.matmul(cols[d], g[d // 2 + start:d // 2 + stop].T,
+                          out=packed[:, offset + start:offset + stop])
+    del cols, half
+    np.multiply(packed, ratios, out=packed)
     _mirror_packed(packed, out)
     return out
 
@@ -258,7 +335,7 @@ def _ring_constant_sum(amps: np.ndarray, col: np.ndarray, n_az: int) -> np.ndarr
     negated +0.0 of a real sum's conjugate.
     """
     dim, n_polar = amps.shape
-    product = _product_buffer(dim, n_polar)
+    product = np.empty((min(dim, _block_rows(n_polar)), n_polar))
     out = np.zeros((dim, dim), dtype=np.complex128)
     out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
     vals = np.empty(dim)
@@ -280,9 +357,9 @@ def _ring_constant_sum(amps: np.ndarray, col: np.ndarray, n_az: int) -> np.ndarr
     return out
 
 
-def _product_buffer(dim: int, n_polar: int) -> np.ndarray:
-    """A buffer for blocks of amplitude products: _BLOCK_ROWS rows of n_polar, halved
-    while the block holds more than _BLOCK_SIZE products.
+def _block_rows(n_polar: int) -> int:
+    """Rows of n_polar products per BLAS call: _BLOCK_ROWS, halved while the block holds
+    more than _BLOCK_SIZE products.
 
     The power-of-two rows hold the bytes too, not only the size: the sums
     of 256-row blocks match those of one gemv over the whole diagonal byte
@@ -292,7 +369,7 @@ def _product_buffer(dim: int, n_polar: int) -> np.ndarray:
     rows = _BLOCK_ROWS
     while rows > 1 and rows * n_polar > _BLOCK_SIZE:
         rows //= 2
-    return np.empty((min(dim, rows), n_polar))
+    return rows
 
 
 def _mirror_packed(packed: np.ndarray, out: np.ndarray):

@@ -38,8 +38,10 @@ def _berezin_check(j: float, grid: SphereGrid) -> CheckResult:
     ((2j+1)/pi) sum_k w_k a_n a_n', the a_n >= 0 being the ring amplitudes.
     Against a label's unit amplitude vector c these bounds sum, by
     Cauchy-Schwarz over each ring's sum_n a_n^2 = 1, to a few eps (2j+1).
-    Measured on the default grids: 0.04-5.0 (2j+1) eps for j = 0.5-820, so
-    the tolerance 16 (2j+1) eps leaves a factor 3.2 over the largest.
+    That is the worst case; the roundings mostly cancel, and on the default
+    grids the error measures 0.5-29.5 eps for j = 0.5-820, about
+    sqrt(2j+1) eps (2.0-5.0 (2j+1) eps from j = 30 up while the ring
+    amplitudes were off by O(j eps)).
     """
     cos_theta = lambda xi: (1.0 - np.abs(xi) ** 2) / (1.0 + np.abs(xi) ** 2)
     x = np.array([0.0, 0.3 - 0.8j, 1.0, -2.5 + 1.1j])

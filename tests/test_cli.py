@@ -455,6 +455,17 @@ def test_symbols_j20_matches_baseline(capsys):
         assert np.max(diff) < 1e-13, k
 
 
+def test_symbols_upper_columns_match_closed_form_to_rounding(capsys):
+    # amplitudes accurate to a few eps put <xi|S_k|xi> within 1.1e-14 of the closed form
+    # at j = 20, against 5.1e-13 when they came from a cancelling log sum
+    code, out, _ = run_cli(["symbols", "--j", "20"], capsys)
+    assert code == 0
+    cols = {k: np.array(v, dtype=float) for k, v in _columns(out).items()}
+    for k in (1, 2, 3):
+        err = np.max(np.abs(cols[f"s{k}_upper"] - cols[f"s{k}_closed"]))
+        assert err <= 8 * verify.EPS * 20, k
+
+
 def test_symbols_degenerate_spin_is_zero(capsys):
     code, out, _ = run_cli(["symbols", "--j", "0", "--sweep", "xi:0:2:3"], capsys)
     assert code == 0

@@ -65,6 +65,21 @@ def test_clock_refuses_non_finite_slice_angle(tau, phi_prime, omega):
         clock.clock_operator(2, tau, phi_prime, omega)
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.inf])
+def test_clock_refuses_omega_that_is_not_finite_and_positive(omega):
+    # sqrt(1/omega) and sqrt(hbar/omega) raised a bare ZeroDivisionError or math domain error
+    with pytest.raises(ValueError, match="omega"):
+        clock.clock_operator(2, 0.3, omega=omega)
+    with pytest.raises(ValueError, match=re.escape(f"omega={omega!r}")):
+        clock.clock_symbol_q1(1.0, 4, 0.3, omega=omega)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, math.nan])
+def test_clock_symbol_refuses_hbar_that_is_not_finite_and_positive(hbar):
+    with pytest.raises(ValueError, match=re.escape(f"hbar={hbar!r}")):
+        clock.clock_symbol_q1(1.0, 4, 0.3, hbar=hbar)
+
+
 def test_clock_symbol_zero_label():
     taus = np.linspace(0, 10, 50)
     assert np.all(clock.clock_symbol_q1(0.0, 20, taus) == 0)

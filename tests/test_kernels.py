@@ -118,28 +118,50 @@ def test_aliased_grid_matches_direct_sum(two_j, n_azimuthal):
     assert np.max(np.abs(got - direct(sym(grid.xi)))) < 1e-13
 
 
-def _reference_ring_sum(grid, coeff, two_j):
-    """The ring sum diagonal by diagonal, with no flushed amplitudes and no gathered columns.
+def _reference_binomial_ratios(two_j):
+    """R_{n,d} of entry (n-d, n), one array per diagonal d, by a scalar walk out along each
+    anti-diagonal l + u = s from R = 1 at (s // 2, s - s // 2)."""
+    table = [np.ones(two_j + 1 - d) for d in range(two_j + 1)]
+    for s in range(2 * two_j + 1):
+        low, up, ratio = s // 2, s - s // 2, 1.0
+        while low > 0 and up < two_j:
+            ratio *= math.sqrt(low * (two_j - up) / ((two_j - low + 1) * (up + 1)))
+            low, up = low - 1, up + 1
+            table[up - low][low] = ratio
+    return table
 
-    Real coeff only; summed in the order ring_projector_sum sums."""
+
+def _reference_ring_sum(grid, coeff, two_j):
+    """The ring sum diagonal by diagonal, with no gathered columns and no packed triangle.
+
+    Real coeff only; summed in the order ring_projector_sum sums, on amplitudes below
+    2**-450 set to 0: per-ring coefficients over the products a_{n-d} a_n, per-node ones
+    over G_s = a_{s//2} a_{s-s//2}, s = 2n - d, each diagonal then times its R_{n,d}."""
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
     coeff = coeff.reshape(n_polar, -1)
     per_ring = coeff.shape[1] == 1
     spectrum = n_az * coeff if per_ring else np.fft.rfft(coeff, axis=1)
-    amps = np.exp(kernels._log_magnitudes(grid.rho, two_j)).T.copy()
+    amps = kernels._magnitudes(grid.rho, two_j)
+    amps = np.where(amps < 2.0 ** -450, 0.0, amps)
+    if not per_ring:
+        # G_s for even s, a_n^2, and for odd s, a_n a_{n+1}
+        g = (amps * amps, amps[:-1] * amps[1:])
+        ratios = _reference_binomial_ratios(two_j)
     out = np.zeros((dim, dim), dtype=np.complex128)
     out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
     for d in range(0, dim, n_az if per_ring else 1):
         q = d % n_az
         column = spectrum[:, q] if q <= n_az // 2 else spectrum[:, n_az - q].conj()
-        product = amps[d:] * amps[:dim - d]
+        if per_ring:
+            product = amps[d:] * amps[:dim - d]
         if per_ring and dim - d == 1:
             # a one-entry diagonal is one row, which the kernel sums in einsum
             upper = np.array([[np.einsum("r,r->", product[0], column.real)], [0.0]])
         elif per_ring:
             upper = np.stack((np.matmul(product, column.real), np.zeros(dim - d)))
         else:
-            upper = np.matmul(np.stack((column.real, column.imag)), product.T)
+            rows = g[d % 2][d // 2:d // 2 + dim - d]
+            upper = np.matmul(np.stack((column.real, column.imag)), rows.T) * ratios[d]
         above = slice(d, (dim - d) * dim, dim + 1)
         below = slice(d * dim, None, dim + 1)
         out_re[below] = out_re[above] = upper[0]
@@ -291,27 +313,55 @@ def test_operators_independent_of_blas_thread_count():
 
 @pytest.mark.parametrize("two_j", [200, 400])
 def test_ring_amplitudes_match_mpmath(two_j):
-    # a_n = exp(L), L = 1/2 log C(2j,n) + n log rho - j log1p(rho^2): the terms are as
-    # large as T = 1/2 log C(2j,n) + n |log rho| + j log1p(rho^2) and cancel to L <= 0.
-    # Each is rounded once as a log and once as a product, so |dL|, the relative error
-    # of a_n, is up to about eps T.  T peaks at the outermost ring, at n = 2j:
-    # 10.2 (2j+1) at 2j = 200 (rho = 168) and 11.6 (2j+1) at 2j = 400 (rho = 335), so
-    # the bound is 12 (2j+1) eps.  Over every ring, the worst amplitude above 1e-3 is
-    # 4.0 (2j+1) eps off at 2j = 200 and 5.3 (2j+1) eps at 2j = 400.  The sums'
-    # dense references share these amplitudes, so only an exact oracle sees this error
+    # a_n = prod_k f_k / sqrt(sum_n a_n^2), the product over the |n - m| steps from the
+    # ring's mode m.  Each step is four correctly rounded operations (a quotient, its sqrt,
+    # the product with rho and the cumprod's), at most 3.5 u with u = eps / 2, and the
+    # norm adds about 2 u.  An amplitude above 1e-3 lies within 5.3 sigma of the mode,
+    # sigma^2 = 2j rho^2 / (1+rho^2)^2 <= j/2: at most 37 steps at 2j = 200 and 53 at
+    # 2j = 400.  The roundings are independent with mean 0 and rms at most 1.04 u a step,
+    # so the error's rms is at most 0.52 eps sqrt(53) = 3.8 eps at either spin: it does
+    # not grow with j as the cancelling log sum's 12 (2j+1) eps did.  The bound 10 eps is
+    # 2.6 of that rms; over every ring the worst amplitude above 1e-3 is 7.4 eps off at
+    # 2j = 200 and 8.3 eps at 2j = 400 (796 and 2111 eps with the log sum)
     grid = sphere_grid(two_j / 2)
     amps = kernels._ring_amplitudes(grid.rho.tobytes(), two_j)
-    assert grid.rho[0] == np.max(grid.rho)
     worst = 0.0
     with mpmath.workdps(30):
         half_log_binomial = [mpmath.log(mpmath.binomial(two_j, n)) / 2 for n in range(two_j + 1)]
-        for p in range(0, len(grid.rho), 10):  # every 10th ring from the outermost
-            rho = mpmath.mpf(float(grid.rho[p]))
+        for p, rho in enumerate(grid.rho.tolist()):
+            rho = mpmath.mpf(rho)
             log_rho, log_norm = mpmath.log(rho), -two_j * mpmath.log1p(rho * rho) / 2
             for n in np.flatnonzero(amps[:, p] > 1e-3).tolist():
                 exact = mpmath.exp(half_log_binomial[n] + n * log_rho + log_norm)
                 worst = max(worst, abs(float((amps[n, p] - exact) / exact)))
-    assert worst <= 12 * (two_j + 1) * np.finfo(float).eps
+    assert worst <= 10 * np.finfo(float).eps
+
+
+def test_ring_sum_matches_mpmath_dense_sum_at_large_spin():
+    # the dense sum over the nodes of amplitudes from 30-digit mpmath, each rounded once
+    # to a double, against the large-spin test's bound 4 eps sum_k |c_k|.  With the
+    # amplitudes of a cancelling log sum the ring sum was 1.7 and 88 times over it
+    two_j, n_azimuthal = 200, 3
+    grid = sphere_grid(two_j / 2, n_azimuthal=n_azimuthal)
+    with mpmath.workdps(30):
+        root_binomial = [mpmath.sqrt(mpmath.binomial(two_j, n)) for n in range(two_j + 1)]
+        mags = []
+        for rho in grid.rho.tolist():
+            rho = mpmath.mpf(rho)
+            norm = (1 + rho * rho) ** (mpmath.mpf(-two_j) / 2)
+            mags.append([float(b * rho ** n * norm) for n, b in enumerate(root_binomial)])
+        # e^{i n phi} on azimuth a is e^{2 pi i (n a mod 3) / 3}
+        third = [complex(mpmath.expjpi(mpmath.mpf(2 * r) / 3)) for r in range(3)]
+    n = np.arange(two_j + 1)
+    phases = np.array([[third[(k * a) % 3] for k in n] for a in range(n_azimuthal)])
+    vecs = (np.array(mags)[:, None, :] * phases[None, :, :]).reshape(len(grid), two_j + 1)
+    xi = grid.xi
+    for sym in (lambda xi: (1.0 + 0.5 * xi.real - 0.25 * xi.imag) / np.sqrt(1.0 + np.abs(xi) ** 2),
+                lambda xi: np.exp(xi.real) / (1.0 + np.abs(xi) ** 2)):
+        coeff = grid.weights * sym(xi)
+        direct = vecs.T @ (coeff[:, None] * vecs.conj())
+        ring = kernels.ring_projector_sum(grid, coeff, two_j)
+        assert np.max(np.abs(ring - direct)) <= 4 * np.finfo(float).eps * np.sum(np.abs(coeff))
 
 
 def _count_calls(monkeypatch, module, name):
@@ -331,7 +381,7 @@ def test_second_operator_at_the_same_spin_computes_no_amplitudes_or_lgamma(monke
               lambda: symbols.reconstruct_operator(np.abs, 30))
     for build in builds:
         build()
-    tables = _count_calls(monkeypatch, kernels, "_log_magnitudes")
+    tables = _count_calls(monkeypatch, kernels, "_magnitudes")
     lgammas = _count_calls(monkeypatch, math, "lgamma")
     for build in builds:
         build()
@@ -353,8 +403,8 @@ def test_log_factorials_match_mpmath():
 
 def test_cached_arrays_are_read_only():
     grid = sphere_grid(4.5)
-    for a in (kernels._ring_amplitudes(grid.rho.tobytes(), 9), kernels._log_binomial_halves(9),
-              clock._clock_magnitudes(9)):
+    for a in (kernels._ring_amplitudes(grid.rho.tobytes(), 9), kernels._binomial_ratios(9),
+              kernels._log_binomial_halves(9), clock._clock_magnitudes(9)):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -53,13 +54,15 @@ def test_berezin_check_fails_on_under_resolved_grid():
     assert check.measured > 0.1
 
 
-@pytest.mark.parametrize("j,low,high", [(300, 0.06, 0.25), (500, 0.1, 0.4)])
-def test_berezin_error_is_rounding_of_size_2j_plus_1_eps(j, low, high):
-    # 2.0 and 3.2 (2j+1) eps against a tolerance of 16 (2j+1) eps; at j = 700 the
-    # error is 1.5e-12, so a constant 1e-12 fails on correct code
+@pytest.mark.parametrize("j", [300, 500])
+def test_berezin_error_is_rounding_of_about_sqrt_2j_plus_1_eps(j):
+    # the tolerance 16 (2j+1) eps bounds the worst case of the ring sums' rounding; on
+    # ring amplitudes accurate to a few eps the error measures 2.0 and 29.5 eps here
+    # (8, 15 and 14.5 eps at j = 30, 100 and 700), about sqrt(2j+1) eps.  Amplitudes off
+    # by O(j eps) put it at 1211 and 3172 eps, 2.0 and 3.2 (2j+1) eps
     check = verify._berezin_check(j, sphere_grid(j))
     assert check.tol == 16 * verify.EPS * (2 * j + 1)
-    assert low < check.measured / check.tol < high, check.line()
+    assert check.measured <= 4 * math.sqrt(2 * j + 1) * verify.EPS, check.line()
 
 
 def test_no_command_imports_numpy_random():
