@@ -110,13 +110,26 @@ def _diagonal_operator(j: float, grid: SphereGrid | None, coefficients) -> np.nd
 
     coefficients(grid) returns the c_k w_k, one per node or one per ring
     (see kernels.ring_projector_sum); whatever it builds on the way is
-    freed before the ring sum runs.
+    freed before the ring sum runs.  Coefficients one per ring reach only
+    the diagonals d = 0 mod n_azimuthal, so only those are scaled: the
+    rest are exactly +0+0j, which the complex multiply would leave as they
+    are.
     """
     two_j = _check_two_j(j)
     if grid is None:
         grid = sphere_grid(j)
-    out = kernels.ring_projector_sum(grid, coefficients(grid), two_j)
-    out *= (two_j + 1) / np.pi
+    coeff = coefficients(grid)
+    dim, scale = two_j + 1, (two_j + 1) / np.pi
+    out = kernels.ring_projector_sum(grid, coeff, two_j)
+    if np.size(coeff) != len(grid.rho):
+        out *= scale
+        return out
+    flat = out.reshape(-1)
+    for d in range(0, dim, grid.n_azimuthal):
+        # entries (i, i+d) above the diagonal and (i+d, i) below it
+        flat[d:(dim - d) * dim:dim + 1] *= scale
+        if d:
+            flat[d * dim::dim + 1] *= scale
     return out
 
 

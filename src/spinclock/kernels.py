@@ -25,12 +25,14 @@ and the inner sum is column (n' - n) mod n_azimuthal of the azimuthal
 FFT of c on that ring.  Coefficients given one per ring reach only
 column 0, so no FFT runs and only the diagonals d = 0 mod n_azimuthal
 are computed, each as one real sum over the rings of the products
-a_i a_{i+d}, written straight into the result, the rest being exactly
-zero.  For real per-node coefficients one np.fft.rfft per ring gives
-every column, and the kernel computes one triangle and mirrors it as its
-conjugate, so the result is exactly Hermitian.  Per-node coefficients
-cost O(n_polar (n_az log n_az + dim^2)) against O(npts dim^2) for the
-dense sum over the nodes, per-ring ones O(n_polar dim) if n_az > 2j.
+a_i a_{i+d}, in blocks of at most 256 rows, halved while a block holds
+more than 2**17 products (_block_rows), written straight into the result,
+the rest being exactly zero.  For real per-node coefficients one
+np.fft.rfft per ring gives every column, and the kernel computes one
+triangle and mirrors it as its conjugate, so the result is exactly
+Hermitian.  Per-node coefficients cost O(n_polar (n_az log n_az + dim^2))
+against O(npts dim^2) for the dense sum over the nodes, per-ring ones
+O(n_polar dim) if n_az > 2j.
 
 Per-node coefficients fill every diagonal by anti-diagonals.  Entry
 (l, u) of the triangle, l <= u, has s = l + u, and at every rho
@@ -39,39 +41,50 @@ Per-node coefficients fill every diagonal by anti-diagonals.  Entry
     R_{l,u} = sqrt(C(2j,l) C(2j,u) / (C(2j,s//2) C(2j,s-s//2))),
 
 since the powers of rho and of 1+rho^2 are the same on both sides.  So
-one table of 4j+1 rows G_s serves every diagonal, in place of the
-dim - d products a_i a_{i+d} that each diagonal d formed anew: the
-products fall from dim (dim+1)/2 to 2 dim - 1 rows per call.  The rows of
-one parity are formed at a time, a_i^2 for even s and a_i a_{i+1} for odd
-s, into one (dim, n_polar) buffer, so every even diagonal runs, then
-every odd one; diagonal d reads the rows s = d, d+2, .., 4j-d, a
-contiguous slice.  Its sums over the rings are one np.matmul, a gemm of
-the two rows (Re, Im) of its spectrum column with that slice, in blocks
-of at most 256 rows, halved while a block holds more than 2**17
-products, straight into a packed triangle: Re and Im of entries
-(i, i+d), diagonal after diagonal, dim (dim+1) floats held in the first
-half of the result's own buffer.  After the last diagonal the packed
-triangle is multiplied once by the read-only table of R in the same
-order (_binomial_ratios).  R <= 1 since the binomials are log-concave,
-and R = 1 on d = 0 and 1; the table is built along the anti-diagonals,
-whose steps have exact integer factors, and cached per 2j, 4 dim (dim+1)
-bytes, half of the ring amplitude table: 162 KB at j = 100, 16 MB at
-j = 1000.  Then one mirror writes a copy of the packed triangle, and its
-conjugate, into the result: the main diagonal through a strided view,
-each off-diagonal triangle through one boolean-masked view of the
-result reshaped to (dim-1, dim+1), which lists its entries in the packed
-order.  The temporaries are n_polar x n_az and n_polar x dim, never
-npts x dim: the spectrum columns gathered once into a (dim, 2, n_polar)
-real array, and the buffer of G rows.
+one table of 4j+1 rows G_s serves every diagonal.  The rows of one parity
+p of s are formed at a time, row k = s//2 being a_k^2 for even s and
+a_k a_{k+1} for odd s, into one (dim, n_polar) buffer.  Entry (i, i+d) of
+diagonal d = 2t + p is the ring sum of row k = i + t with the spectrum
+column of d, so the sums of one parity are the band t <= k <= 2j - p - t
+of one matrix product M_p = G_p C_p^T, where C_p holds the Re and Im of
+the columns of the diagonals of parity p, gathered once, parity-major,
+into one (dim, 2, n_polar) real array.  The band is summed in tiles of W
+diagonals, laid from the last one, over the rows their first diagonal
+needs, in blocks of at most R rows (_tile): W = 8, halved down to 2 while
+2W rows would hold more than 2**17 products, and R as many rows as keep
+a tile within 2**17 products, at least 3.  That is 8 x 81 on the 202 rings
+of j = 100 (48 calls in place of the 201 two-row gemms of one product
+per diagonal), 4 x 15 on 2100 rings and 2 x 4 on the 15568 of verify's
+clock grid at j = 970; at j = 100 the tiles take 0.51 ms, where the
+two-row gemms took 1.08 (one BLAS thread, warm).  M_0 and M_1 lie in the
+result's own buffer, dim ceil(dim/2) + (dim-1) floor(dim/2) of its dim^2
+complex entries.  One np.take through a cached intp index gathers their
+band into a packed triangle, entries (i, i+d) diagonal after diagonal,
+which is multiplied once by the read-only table of R in the same order.
+R <= 1 since the binomials are log-concave, and R = 1 on d = 0 and 1; the
+table is built along the anti-diagonals, whose steps have exact integer
+factors, and cached per 2j with the index (_packed_tables), 8 dim (dim+1)
+bytes: 325 KB at j = 100, 32 MB at j = 1000.  Then one mirror writes the
+packed triangle, and its conjugate, into the result: the main diagonal
+through a strided view, each off-diagonal triangle through one
+boolean-masked view of the result reshaped to (dim-1, dim+1), which lists
+its entries in the packed order.  The temporaries are n_polar x n_az and
+n_polar x dim, never npts x dim: the spectrum, its gathered columns, the
+buffer of G rows and the packed triangle.
 
 The sums run in BLAS, yet their bytes do not depend on the BLAS thread
 count, since each call is kept small.  Measured with numpy's OpenBLAS
 0.3.31 at 1 and 2 threads, the bytes of a gemv moved from about 4.6e5
 products per call, and those of the gemm from about 1e6 multiply-adds:
-on 2100 rings, 256-row blocks moved both.  A block of at most 2**17
-products stays 3.5 times below either.  A one-row block of per-ring
-coefficients is summed in einsum instead: numpy runs a one-row gemv as a
-dot product, which OpenBLAS splits over the rings beyond 10**4 of them.
+on 2100 rings, 256-row blocks moved both.  A tile of at most 2**18
+multiply-adds, and a block of at most 2**17 products, stay 3.5 times
+below either; OpenBLAS runs a gemm of that size on one thread.  numpy
+runs a product of one row as a gemv, which OpenBLAS splits over threads
+at sizes where it runs a gemm on one (a 1 x 4096 row times a 4096 x 64
+matrix ran on two), so no tile block is one row where dim > 2, and a
+one-row block of per-ring coefficients is summed in einsum instead:
+numpy runs a one-row gemv as a dot product, which OpenBLAS splits over
+the rings beyond 10**4 of them.
 
 The ring sums do almost no subnormal arithmetic, which costs a microcode
 assist per operation on common x86 cores.  Ring amplitudes below
@@ -89,9 +102,9 @@ each process computes them once: a bounded LRU cache keeps the flushed
 (2j+1, n_polar) table per ring radii (their bytes, so no grid reads
 another grid's table) and 2j, 8 (2j+1) n_polar bytes each (82 KB at
 j = 50, 32 MB at j = 1000 on the default grids), another the table of R
-per 2j, and another the log binomials per 2j that the clock operator
-reads.  All hand out read-only arrays; each operator is a new writable
-matrix.
+and the band index per 2j, and another the log binomials per 2j that the
+clock operator reads.  All hand out read-only arrays; each operator is a
+new writable matrix.
 """
 
 import functools
@@ -232,30 +245,41 @@ def _ring_amplitudes(rho: bytes, two_j: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _binomial_ratios(two_j: int) -> np.ndarray:
-    """R_{n,d} = sqrt(C(2j,n-d) C(2j,n) / (C(2j,s//2) C(2j,s-s//2))), s = 2n - d, in packed order.
+def _packed_tables(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ratios R and the band index of the packed triangle of ring_projector_sum.
 
-    Entry d dim - d (d-1)/2 + i is R of entry (i, i+d), as in the packed
-    triangle of ring_projector_sum, so a_i a_{i+d} = R G_s with
-    G_s = a_{s//2} a_{s-s//2} at every rho.  R = 1 on d = 0 and 1; each
-    diagonal d >= 2 is one step out along the anti-diagonals from diagonal
-    d - 2, R(l-1, u+1) = R(l, u) sqrt(l (2j-u) / ((2j-l+1) (u+1))), whose
-    integer factors are exact.  R <= 1 since the binomials are log-concave.
-    Cached per 2j; 4 dim (dim+1) bytes, the array is read-only.
+    Entry k = d dim - d (d-1)/2 + i of each belongs to entry (i, i+d).
+    ratios[k] = sqrt(C(2j,i) C(2j,i+d) / (C(2j,s//2) C(2j,s-s//2))),
+    s = 2i + d, so a_i a_{i+d} = R G_s with G_s = a_{s//2} a_{s-s//2} at
+    every rho.  R = 1 on d = 0 and 1; each diagonal d >= 2 is one step out
+    along the anti-diagonals from diagonal d - 2,
+    R(l-1, u+1) = R(l, u) sqrt(l (2j-u) / ((2j-l+1) (u+1))), whose integer
+    factors are exact.  R <= 1 since the binomials are log-concave.
+    index[k] is the complex offset, in the result's buffer, of the ring sum
+    of G_s with the spectrum column of d: entry [s//2, d//2] of the band
+    product M_p, p = d % 2, which holds dim - p rows of (dim + 1 - p) // 2
+    entries, M_1 after M_0.  It is intp, the index type np.take reads: an
+    int32 table, half the size, cost a converted copy of it on every call.
+    Cached per 2j; 4 dim (dim+1) bytes each, 325 KB at j = 100; read-only.
     """
-    dim = two_j + 1
-    out = np.ones(dim * (dim + 1) // 2)
-    for d in range(2, dim):
-        # entry (l-1, u+1) of diagonal d from entry (l, u) = (i+1, i+d-1) of diagonal d-2
-        low = np.arange(1, dim - d + 1)
-        up = low + d - 2
-        inner = (d - 2) * dim - (d - 2) * (d - 3) // 2 + 1
+    dim, n_even = two_j + 1, (two_j + 2) // 2
+    ratios = np.ones(dim * (dim + 1) // 2)
+    index = np.empty(len(ratios), dtype=np.intp)
+    for d in range(dim):
         offset = d * dim - d * (d - 1) // 2
-        np.multiply(out[inner:inner + dim - d],
-                    np.sqrt(low * (two_j - up) / ((two_j - low + 1) * (up + 1))),
-                    out=out[offset:offset + dim - d])
-    out.flags.writeable = False
-    return out
+        # rows t .. t + dim - d - 1 of column t = d // 2 of M_{d % 2}, which has w columns
+        t, w = d // 2, (dim + 1 - d % 2) // 2
+        index[offset:offset + dim - d] = (d % 2) * dim * n_even + t + np.arange(t, t + dim - d) * w
+        if d >= 2:
+            # entry (l-1, u+1) of diagonal d from entry (l, u) = (i+1, i+d-1) of diagonal d-2
+            low = np.arange(1, dim - d + 1)
+            up = low + d - 2
+            inner = (d - 2) * dim - (d - 2) * (d - 3) // 2 + 1
+            np.multiply(ratios[inner:inner + dim - d],
+                        np.sqrt(low * (two_j - up) / ((two_j - low + 1) * (up + 1))),
+                        out=ratios[offset:offset + dim - d])
+    ratios.flags.writeable = index.flags.writeable = False
+    return ratios, index
 
 
 def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
@@ -267,16 +291,18 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     rings, and the rest are exactly zero, so a grid with n_azimuthal <= 2j
     still gives the aliased quadrature sum.  Per-node coefficients fill
     every diagonal by anti-diagonals: the ring sums of G_s = a_{s//2}
-    a_{s-s//2} go straight into a packed upper triangle, which is then
-    multiplied once by _binomial_ratios, and one mirror writes it and its
-    conjugate into the result (see the module docstring).  Real
-    coefficients give an exactly Hermitian result; complex ones are
-    summed as S(Re coeff) + i S(Im coeff).  Ring amplitudes below 2**-450
-    are dropped, which moves no entry by more than 2**-450 sum_k |coeff[k]|
-    (see the module docstring).  The sums over the rings run in BLAS, one
-    np.matmul per block of at most 2**17 products, a size at which their
-    bytes do not depend on the BLAS thread count, but for one-row blocks of
-    per-ring coefficients, which run in einsum (see the module docstring).
+    a_{s-s//2} with every spectrum column are, per parity of s, one band of
+    a matrix product, computed in tiles, then gathered into a packed upper
+    triangle, multiplied once by the ratios of _packed_tables, and one
+    mirror writes it and its conjugate into the result (see the module
+    docstring).  Real coefficients give an exactly Hermitian result;
+    complex ones are summed as S(Re coeff) + i S(Im coeff).  Ring
+    amplitudes below 2**-450 are dropped, which moves no entry by more than
+    2**-450 sum_k |coeff[k]| (see the module docstring).  The sums over the
+    rings run in BLAS, one np.matmul per tile or block of at most 2**18
+    multiply-adds, a size at which their bytes do not depend on the BLAS
+    thread count, but for one-row blocks of per-ring coefficients, which
+    run in einsum (see the module docstring).
     """
     coeff = np.asarray(coeff)
     if np.iscomplexobj(coeff):
@@ -287,14 +313,15 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     amps = _ring_amplitudes(np.asarray(grid.rho, dtype=np.float64).tobytes(), two_j)
     if coeff.shape[1] == 1:
         return _ring_constant_sum(amps, n_az * coeff[:, 0], n_az)
-    # a first call at this 2j builds the table here, while the heap holds no more than
-    # the coefficients: built after the loop, it left the process 0.4 MiB larger at j = 100
-    ratios = _binomial_ratios(two_j)
+    # a first call at this 2j builds the tables here, while the heap holds no more than
+    # the coefficients: built after the tiles, they left the process 0.4 MiB larger at j = 100
+    ratios, index = _packed_tables(two_j)
     # spectrum[p, q] = sum_a coeff[p, a] e^{-2 pi i q a / n_az} for q <= n_az // 2;
     # column n_az - q is its conjugate because coeff is real
     spectrum = np.fft.rfft(coeff, axis=1)
-    # cols[d] holds Re and Im over the rings of column q = d mod n_az
-    q = np.arange(dim) % n_az
+    # cols[t] holds Re and Im over the rings of column q = d mod n_az of the t-th diagonal
+    # in the order d = 0, 2, 4, .., 1, 3, 5, ..: each parity's columns are one contiguous block
+    q = np.concatenate((np.arange(0, dim, 2), np.arange(1, dim, 2))) % n_az
     mirrored = q > n_az // 2
     q[mirrored] = n_az - q[mirrored]
     cols = np.empty((dim, 2, n_polar))
@@ -302,27 +329,36 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     cols[:, 1] = spectrum.imag.T[q]
     np.negative(cols[:, 1], out=cols[:, 1], where=mirrored[:, None])
     del spectrum
-    block = _block_rows(n_polar)
+    width, rows = _tile(n_polar)
     half = np.empty((dim, n_polar))
     out = np.empty((dim, dim), dtype=np.complex128)
-    # packed[:, k] holds Re and Im of entry (i, i+d), k = offset_d + i, diagonal after
-    # diagonal, in the first dim (dim+1) floats of the result's own buffer, so the loop
-    # holds no more than cols, half and the result.  A result allocated after the loop
-    # instead sat on top of the heap, and freeing it later trimmed the heap (about 0.2 ms)
-    packed = out.reshape(-1).view(np.float64)[:dim * (dim + 1)].reshape(2, -1)
+    # M_p[k, t] = Re + i Im of G_{2k+p} summed with the column of d = 2t + p, in the result's
+    # own buffer, M_1 after M_0, so the tiles hold no more than cols, half and the result.
+    # A result allocated after them instead sat on top of the heap, and freeing it later
+    # trimmed the heap (about 0.2 ms)
+    flat, n_even = out.reshape(-1).view(np.float64), (dim + 1) // 2
     for parity in (0, 1):
-        # row i of g is G_{2i+parity}: a_i^2 for even s, a_i a_{i+1} for odd s
-        g = np.multiply(amps[:dim - parity], amps[parity:], out=half[:dim - parity])
-        for d in range(parity, dim, 2):
-            # entries (i, i+d) carry e^{-i d phi} and s = 2i + d, row d // 2 + i of g
-            offset = d * dim - d * (d - 1) // 2
-            for start in range(0, dim - d, block):
-                stop = min(start + block, dim - d)
-                np.matmul(cols[d], g[d // 2 + start:d // 2 + stop].T,
-                          out=packed[:, offset + start:offset + stop])
-    del cols, half
-    np.multiply(packed, ratios, out=packed)
-    _mirror_packed(packed, out)
+        n_rows, n_diag = dim - parity, (dim + 1 - parity) // 2
+        # row k of g is G_{2k+parity}: a_k^2 for even s, a_k a_{k+1} for odd s
+        g = np.multiply(amps[:n_rows], amps[parity:], out=half[:n_rows])
+        c = cols[parity * n_even:][:n_diag].reshape(2 * n_diag, n_polar)
+        band = flat[parity * 2 * dim * n_even:][:2 * n_rows * n_diag].reshape(n_rows, 2 * n_diag)
+        # diagonal d = 2t + parity needs rows t <= k < n_rows - t; tiles of width diagonals
+        # are laid from the last one, each over the rows its first diagonal needs, in
+        # blocks of nearly equal size (see _tile)
+        for right in range(n_diag, 0, -width):
+            left = max(right - width, 0)
+            height = n_rows - 2 * left
+            blocks = -(-height // rows)
+            for b in range(blocks):
+                top, bottom = left + height * b // blocks, left + height * (b + 1) // blocks
+                np.matmul(g[top:bottom], c[2 * left:2 * right].T,
+                          out=band[top:bottom, 2 * left:2 * right])
+    del cols, half, c, g
+    vals = out.reshape(-1).take(index)
+    np.multiply(vals.real, ratios, out=vals.real)
+    np.multiply(vals.imag, ratios, out=vals.imag)
+    _mirror_packed(vals, out)
     return out
 
 
@@ -372,20 +408,35 @@ def _block_rows(n_polar: int) -> int:
     return rows
 
 
-def _mirror_packed(packed: np.ndarray, out: np.ndarray):
-    """Write the packed upper triangle and its conjugate into the (dim, dim) matrix out.
+def _tile(n_polar: int) -> tuple[int, int]:
+    """(diagonals, rows) of a per-node tile: 8 diagonals, halved down to 2 while twice
+    as many rows would hold more than _BLOCK_SIZE products, and as many rows as keep
+    it within _BLOCK_SIZE, but at least 3.
 
-    packed[:, k] holds Re and Im of entry (i, i+d) at k = d dim - d (d-1)/2 + i;
-    it may lie in out's own buffer, since it is read into one complex copy
-    before out is written.  The main diagonal is a strided view.  Reshaped
-    to (dim-1, dim+1), the first dim^2 - 1 entries of out hold entry
-    (i, i+d) at [i, d] and entry (i+d, i) at [i+d-1, dim+1-d], so for d >= 1
-    each triangle is one boolean-masked view that lists its entries in the
-    packed order.
+    A tile of w diagonals and r rows is a gemm of 2 r w n_polar <= 2**18
+    multiply-adds up to n_polar = 2**17 / 6 rings.  Laid from the last
+    diagonal, a tile spans at least 2w - 1 >= 3 rows, or all dim - p of
+    its parity, and blocks of nearly equal size of at most r >= 3 rows hold
+    at least 2 each: where dim > 2 no product is one row, which numpy would
+    run as a gemv (see the module docstring).
+    """
+    width = 8
+    while width > 2 and 2 * width * width * n_polar > _BLOCK_SIZE:
+        width //= 2
+    return width, max(3, _BLOCK_SIZE // (width * n_polar))
+
+
+def _mirror_packed(vals: np.ndarray, out: np.ndarray):
+    """Write the packed upper triangle vals and its conjugate into the (dim, dim) matrix out.
+
+    vals[k] is entry (i, i+d) at k = d dim - d (d-1)/2 + i, a complex array
+    apart from out; its off-diagonal part is conjugated in place.  The main
+    diagonal is a strided view.  Reshaped to (dim-1, dim+1), the first
+    dim^2 - 1 entries of out hold entry (i, i+d) at [i, d] and entry (i+d, i)
+    at [i+d-1, dim+1-d], so for d >= 1 each triangle is one boolean-masked
+    view that lists its entries in the packed order.
     """
     dim = len(out)
-    vals = np.empty(packed.shape[1], dtype=np.complex128)
-    vals.real, vals.imag = packed
     out.reshape(-1)[::dim + 1] = vals[:dim]
     skew = out.reshape(-1)[:dim * dim - 1].reshape(dim - 1, dim + 1)
     tri = np.tri(dim - 1, dtype=bool)

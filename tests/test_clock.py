@@ -100,6 +100,19 @@ def test_clock_symbol_large_m_no_overflow():
     assert val > 0
 
 
+@pytest.mark.parametrize("m", [0, 1, 7, 20, 200, 1000, 1940])
+def test_slice_amplitude_matches_mpmath(m):
+    # below m = 32 the constant sqrt(2) Gamma(5/2), the quotient of two exact integer
+    # products and their product round once each: 3 u = 1.5 eps.  From m = 32 on sqrt(2z),
+    # exp and the product round once each, exp within 1 ulp, and the roundings of the series
+    # t, |t| <= 1/272, move e^t by under 0.02 u: at most 4 u = 2 eps.  The series' truncation
+    # is below 1e-18.  exp(lgamma(m+2.5) - lgamma(m+2)) was 1598 eps off at m = 1000
+    with mpmath.workdps(40):
+        exact = mpmath.sqrt(2) * mpmath.gamma(m + mpmath.mpf(5) / 2) / mpmath.factorial(m + 1)
+        error = abs((clock.slice_amplitude(m) - exact) / exact)
+    assert error <= 2 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("m", [1, 10, 100])
 def test_clock_symbol_is_single_sinusoid(m):
     taus = np.linspace(0, 6 * math.pi, 200)

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spinclock import clock, coherent, kernels, symbols
+from spinclock import clock, coherent, kernels, symbols, verify
 from spinclock.grids import SphereGrid, sphere_grid
 
 
@@ -132,41 +132,64 @@ def _reference_binomial_ratios(two_j):
 
 
 def _reference_ring_sum(grid, coeff, two_j):
-    """The ring sum diagonal by diagonal, with no gathered columns and no packed triangle.
+    """The ring sum entry by entry, with no gathered columns, packed triangle or mirror.
 
     Real coeff only; summed in the order ring_projector_sum sums, on amplitudes below
-    2**-450 set to 0: per-ring coefficients over the products a_{n-d} a_n, per-node ones
-    over G_s = a_{s//2} a_{s-s//2}, s = 2n - d, each diagonal then times its R_{n,d}."""
+    2**-450 set to 0.  Per-ring coefficients over the products a_{n-d} a_n, diagonal by
+    diagonal.  Per-node ones by the kernel's tile products of the rows
+    G_s = a_{s//2} a_{s-s//2} with the spectrum columns of each parity, whose band entries
+    a scalar loop then multiplies by R and writes into the matrix, with their conjugates."""
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
     coeff = coeff.reshape(n_polar, -1)
     per_ring = coeff.shape[1] == 1
     spectrum = n_az * coeff if per_ring else np.fft.rfft(coeff, axis=1)
     amps = kernels._magnitudes(grid.rho, two_j)
     amps = np.where(amps < 2.0 ** -450, 0.0, amps)
-    if not per_ring:
-        # G_s for even s, a_n^2, and for odd s, a_n a_{n+1}
-        g = (amps * amps, amps[:-1] * amps[1:])
-        ratios = _reference_binomial_ratios(two_j)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
-    for d in range(0, dim, n_az if per_ring else 1):
+
+    def column(d):
         q = d % n_az
-        column = spectrum[:, q] if q <= n_az // 2 else spectrum[:, n_az - q].conj()
-        if per_ring:
-            product = amps[d:] * amps[:dim - d]
-        if per_ring and dim - d == 1:
+        return spectrum[:, q] if q <= n_az // 2 else spectrum[:, n_az - q].conj()
+
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    if not per_ring:
+        ratios = _reference_binomial_ratios(two_j)
+        width, rows = kernels._tile(n_polar)
+        for parity in (0, 1):
+            # row k of g is G_{2k+parity}; rows 2t and 2t+1 of c are Re and Im of column
+            # d = 2t + parity, whose entries (i, i+d) are the sums of rows k = i + t
+            g = amps[:dim - parity] * amps[parity:]
+            diags = range(parity, dim, 2)
+            c = np.array([part for d in diags for part in (column(d).real, column(d).imag)])
+            band = np.zeros((len(g), 2 * len(diags)))
+            for right in range(len(diags), 0, -width):
+                left = max(right - width, 0)
+                height = len(g) - 2 * left
+                blocks = -(-height // rows)
+                for b in range(blocks):
+                    top, bottom = left + height * b // blocks, left + height * (b + 1) // blocks
+                    band[top:bottom, 2 * left:2 * right] = np.matmul(g[top:bottom],
+                                                                     c[2 * left:2 * right].T)
+            for t, d in enumerate(diags):
+                for i in range(dim - d):
+                    ratio = float(ratios[d][i])
+                    value = complex(float(band[i + t, 2 * t]) * ratio,
+                                    float(band[i + t, 2 * t + 1]) * ratio)
+                    out[i, i + d] = value
+                    if d:
+                        out[i + d, i] = value.conjugate()
+        return out
+    out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
+    for d in range(0, dim, n_az):
+        product = amps[d:] * amps[:dim - d]
+        if dim - d == 1:
             # a one-entry diagonal is one row, which the kernel sums in einsum
-            upper = np.array([[np.einsum("r,r->", product[0], column.real)], [0.0]])
-        elif per_ring:
-            upper = np.stack((np.matmul(product, column.real), np.zeros(dim - d)))
+            upper = np.einsum("r,r->", product[0], column(d).real)
         else:
-            rows = g[d % 2][d // 2:d // 2 + dim - d]
-            upper = np.matmul(np.stack((column.real, column.imag)), rows.T) * ratios[d]
+            upper = np.matmul(product, column(d).real)
         above = slice(d, (dim - d) * dim, dim + 1)
         below = slice(d * dim, None, dim + 1)
-        out_re[below] = out_re[above] = upper[0]
-        out_im[below] = -upper[1]
-        out_im[above] = upper[1]
+        out_re[below] = out_re[above] = upper
+        out_im[below] = -0.0 if d else 0.0
     return out
 
 
@@ -376,6 +399,34 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def test_per_node_tiles_stay_within_one_thread_gemm_size(monkeypatch):
+    # OpenBLAS runs a gemm of at most 2 * 2**17 multiply-adds on one thread, so no byte of
+    # such a call moves with the thread count.  Every tile of per-node coefficients stays
+    # within it on the default grids, on 2100 rings, and on verify's clock grid at j = 30
+    # (528 rings of 62 azimuths); at j = 100 the tiles take at most half the 201 calls of
+    # one two-row gemm per diagonal
+    sym = lambda xi: (1.0 + 0.5 * xi.real) / np.sqrt(1.0 + np.abs(xi) ** 2)
+    cases = [(j, sphere_grid(j)) for j in (50, 100, 200)]
+    cases.append((150, sphere_grid(150, n_polar=2100, n_azimuthal=3)))
+    cases.append((30, sphere_grid(30, *verify._grid_shapes(60, None)[1])))
+    assert len(cases[-1][1].rho) == 528
+    matmul, shapes = np.matmul, []
+
+    def recorded(a, b, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    calls = []
+    for j, grid in cases:
+        shapes.clear()
+        symbols.reconstruct_operator(sym, j, grid)
+        assert shapes and all(a[1] == b[0] == len(grid.rho) for a, b in shapes)
+        assert max(a[0] * a[1] * b[1] for a, b in shapes) <= 2 * 2 ** 17
+        calls.append(len(shapes))
+    assert calls[1] <= 201 // 2
+
+
 def test_second_operator_at_the_same_spin_computes_no_amplitudes_or_lgamma(monkeypatch):
     builds = (lambda: coherent.resolution_of_unity(30), lambda: clock.clock_operator(30, 0.4),
               lambda: symbols.reconstruct_operator(np.abs, 30))
@@ -388,7 +439,7 @@ def test_second_operator_at_the_same_spin_computes_no_amplitudes_or_lgamma(monke
     assert tables == [] and lgammas == []
     # the counters see what the kernels call
     kernels.coherent_amplitudes(0.5, 7)
-    clock.slice_amplitude(7)
+    kernels._log_factorials(1)
     assert len(tables) == 1 and len(lgammas) == 2
 
 
@@ -403,7 +454,7 @@ def test_log_factorials_match_mpmath():
 
 def test_cached_arrays_are_read_only():
     grid = sphere_grid(4.5)
-    for a in (kernels._ring_amplitudes(grid.rho.tobytes(), 9), kernels._binomial_ratios(9),
+    for a in (kernels._ring_amplitudes(grid.rho.tobytes(), 9), *kernels._packed_tables(9),
               kernels._log_binomial_halves(9), clock._clock_magnitudes(9)):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from spinclock import classical, clock, verify
+from spinclock import classical, clock, grids, verify
 from spinclock.grids import sphere_grid
 
 
@@ -56,13 +56,27 @@ def test_berezin_check_fails_on_under_resolved_grid():
 
 @pytest.mark.parametrize("j", [300, 500])
 def test_berezin_error_is_rounding_of_about_sqrt_2j_plus_1_eps(j):
-    # the tolerance 16 (2j+1) eps bounds the worst case of the ring sums' rounding; on
-    # ring amplitudes accurate to a few eps the error measures 2.0 and 29.5 eps here
-    # (8, 15 and 14.5 eps at j = 30, 100 and 700), about sqrt(2j+1) eps.  Amplitudes off
-    # by O(j eps) put it at 1211 and 3172 eps, 2.0 and 3.2 (2j+1) eps
-    check = verify._berezin_check(j, sphere_grid(j))
-    assert check.tol == 16 * verify.EPS * (2 * j + 1)
+    # the worst case of the ring sums' rounding is 16 (2j+1) eps; on ring amplitudes
+    # accurate to a few eps the error measures 2.0 and 29.5 eps here (8, 15 and 14.5 eps
+    # at j = 30, 100 and 700), about sqrt(2j+1) eps, and the tolerance is 4 sqrt(n_polar)
+    # eps.  Amplitudes off by O(j eps) put it at 1211 and 3172 eps, 2.0 and 3.2 (2j+1) eps
+    grid = sphere_grid(j)
+    check = verify._berezin_check(j, grid)
+    assert check.tol == 4 * verify.EPS * math.sqrt(len(grid.rho)) < 16 * verify.EPS * (2 * j + 1)
     assert check.measured <= 4 * math.sqrt(2 * j + 1) * verify.EPS, check.line()
+
+
+def test_berezin_check_fails_when_the_ring_weights_are_off_by_1e_12(monkeypatch):
+    # weights 1 + 1e-12 times too large scale the operator, and move its symbol at the
+    # label 0 by about 1e-12: half the worst case 16 (2j+1) eps = 2.1e-12 at j = 300,
+    # 46 times the tolerance 4 sqrt(602) eps = 2.2e-14
+    assert verify._berezin_check(300, sphere_grid(300)).passed
+    rule = grids._gauss_legendre
+    monkeypatch.setattr(grids, "_gauss_legendre",
+                        lambda n: (rule(n)[0], rule(n)[1] * (1.0 + 1e-12)))
+    check = verify._berezin_check(300, sphere_grid(300))
+    assert not check.passed
+    assert 0.9e-12 < check.measured < 16 * verify.EPS * 601
 
 
 def test_no_command_imports_numpy_random():
