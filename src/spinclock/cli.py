@@ -28,9 +28,14 @@ ARRAY_BUDGET = 4 * 2**30
 # most for symbols --format json (10 columns)
 SWEEP_POINT_BYTES = 1024
 # bytes per grid node of quantizing a symbol: tracemalloc measures 73 for the clock
-# symbol on verify's clock grid at j = 30, 100 and 200, and 48 for cos(Theta), each a
-# first call that builds the ring amplitudes and the binomial ratios, its result included
+# symbol on 8 (2j+6) rings of 2j+2 nodes at j = 30, 100 and 200, and 60, 38 and 37 for
+# verify's symbols cos(Theta) and Re xi / (1+|xi|^2) on its grid at j = 30, 100 and 200,
+# each a first call that builds the ring amplitudes and the binomial ratios, its result
+# included
 GRID_NODE_BYTES = 80
+# bytes verify holds at every spin: tracemalloc measures 1.06 MB at j = 5 and 10, most
+# of it numpy.polynomial, which the width fits import on first use
+VERIFY_BASE_BYTES = 1.5 * 2**20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,14 +335,12 @@ def cmd_symbols(args) -> int:
 
 def cmd_verify(args) -> int:
     j, two_j = _spin(args, default=5.0)
-    # tracemalloc at j = 200: run_checks holds 6.1 matrices' worth besides the clock check's
-    # quantization on its grid, and reconstruct_operator on the default grid peaks at 4.0;
-    # the estimate keeps 15 matrices
+    # tracemalloc at j = 200: run_checks peaks at 11.2 matrices' worth, its quantizations
+    # on its one grid included, of which reconstruct_operator takes 4.6; the estimate keeps
+    # 15 matrices and the grid
     n = args.quad_order
-    checks_shape, clock_shape = verify._grid_shapes(two_j, n)
-    need = array_bytes(j, matrices=15) + grid_bytes(*clock_shape)
-    if n:
-        need += grid_bytes(*checks_shape)
+    need = (VERIFY_BASE_BYTES + array_bytes(j, matrices=15)
+            + grid_bytes(*verify._grid_shapes(two_j, n)))
     _check_array_bytes(f"spin j={j:g}" + ("" if n is None else f" with --quad-order {n}"), need)
     results = verify.run_checks(j=j, seed=args.seed, quad_order=args.quad_order)
     all_passed = all(r.passed for r in results)

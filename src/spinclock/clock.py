@@ -31,11 +31,13 @@ comes from the antipodal label 1/xi, by the rule spin_symbols_closed_form
 uses too.
 
 clock_operator quantizes this symbol at hbar = 1 exactly, by a Beta function
-(Berezin, Commun. Math. Phys. 40, 153, 1975), and needs no grid.  Its 2j
-magnitudes depend on j alone: a bounded LRU cache keeps them per 2j as a
-read-only array, so each call only applies the scale sqrt(1/omega) and
-the phase e^{i(omega tau+phi')} and writes the two off-diagonals of a new
-matrix.
+(Berezin, Commun. Math. Phys. 40, 153, 1975), and needs no grid.  Its one
+band of 2j entries is _beta_band at k = 1/2, which depends on j alone: a
+bounded LRU cache keeps it per 2j and k as a read-only array, so each call
+only applies the amplitude, the scale sqrt(1/omega) and the phase
+e^{i(omega tau+phi')} and writes the two off-diagonals of a new matrix.
+_beta_band runs a recurrence whose steps are exact integer ratios, so it
+has no log-Gamma sum to lose O(j eps) in.
 
 Correlation functions between spin coherent states measure how sharp the
 clock is: a Gaussian of width 1/(2j) in the amplitude angle and
@@ -215,9 +217,10 @@ def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
 
         C[n, n+1] = (2j+1) G sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+1/2) e^{i psi} / sqrt(2 omega),
 
-    C[n+1, n] its conjugate and every other entry exactly 0.  ValueError
-    where psi is not finite (see _slice_angle), or unless omega is finite
-    and > 0.
+    C[n+1, n] its conjugate and every other entry exactly 0: the band
+    _beta_band(2j, 1/2) times slice_amplitude(m) e^{i psi} / (2 sqrt(omega)).
+    ValueError where psi is not finite (see _slice_angle), or unless omega
+    is finite and > 0.
     """
     two_j = _check_two_j(j)
     psi = _slice_angle(tau, phi_prime, omega)
@@ -226,19 +229,30 @@ def clock_operator(j: float, tau: float, phi_prime: float = 0.0,
     out = np.zeros((dim, dim), dtype=np.complex128)
     # flat views: entry (n, n') of out is element n * dim + n'
     above, below = out.reshape(-1)[1::dim + 1], out.reshape(-1)[dim::dim + 1]
-    above[:] = _clock_magnitudes(two_j) * (math.sqrt(1.0 / omega) * np.exp(1j * psi))
+    above[:] = _beta_band(two_j, 0.5) * (0.5 * slice_amplitude(two_j) * math.sqrt(1.0 / omega)
+                                         * np.exp(1j * psi))
     below[:] = above.conj()
     return out
 
 
 @functools.lru_cache(maxsize=16)
-def _clock_magnitudes(two_j: int) -> np.ndarray:
-    """|C[n, n+1]| of clock_operator at omega = 1 for n = 0..2j-1; cached per 2j, read-only."""
-    # log B(n+2, m-n+1/2) = log (n+1)! + log Gamma(m-n+1/2) - log Gamma(m+5/2)
-    log_beta = kernels._log_factorials(two_j)[1:] \
-        + np.array([math.lgamma(two_j - k + 0.5) for k in range(two_j)]) - math.lgamma(two_j + 2.5)
-    half = kernels._log_binomial_halves(two_j)
-    out = (two_j + 1) * (0.5 * slice_amplitude(two_j)) * np.exp(half[:-1] + half[1:] + log_beta)
+def _beta_band(two_j: int, k: float) -> np.ndarray:
+    """(2j+1) sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+k) for n = 0..m-1, m = 2j, k > 0.
+
+    Entry (n, n+1) of the operator ((2j+1)/pi) int f |xi><xi| dmu of
+    f = xi (1+|xi|^2)^-k: only <n|xi><xi|n+1> carries the phase that
+    cancels xi's, and its radial integral in t = |xi|^2 is
+    int t^{n+1} (1+t)^{-(m+k+2)} dt = B(n+2, m-n+k).  Entry 0 is
+    (m+1) sqrt(m) / ((m+k)(m+k+1)), and each next one is the last times
+    sqrt((m-n)(m-n-1) / ((n+1)(n+2))) (n+2) / (m-n+k-1), whose integers
+    are exact: a few roundings a step, which add as a random walk, about
+    0.6 sqrt(n) eps after n steps (test_beta_band_matches_mpmath).  Cached
+    per 2j and k; the array is read-only.
+    """
+    m, n = two_j, np.arange(two_j - 1.0)
+    steps = np.sqrt((m - n) * (m - n - 1) / ((n + 1) * (n + 2))) * ((n + 2) / (m - n + k - 1))
+    first = (m + 1) * math.sqrt(m) / ((m + k) * (m + k + 1))
+    out = np.cumprod(np.concatenate(([first], steps)))[:m]  # at m = 0 the band is empty
     out.flags.writeable = False
     return out
 

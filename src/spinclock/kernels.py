@@ -54,11 +54,11 @@ needs, in blocks of at most R rows (_tile): W = 8, halved down to 2 while
 2W rows would hold more than 2**17 products, and R as many rows as keep
 a tile within 2**17 products, at least 3.  That is 8 x 81 on the 202 rings
 of j = 100 (48 calls in place of the 201 two-row gemms of one product
-per diagonal), 4 x 15 on 2100 rings and 2 x 4 on the 15568 of verify's
-clock grid at j = 970; at j = 100 the tiles take 0.51 ms, where the
-two-row gemms took 1.08 (one BLAS thread, warm).  M_0 and M_1 lie in the
-result's own buffer, dim ceil(dim/2) + (dim-1) floor(dim/2) of its dim^2
-complex entries.  One np.take through a cached intp index gathers their
+per diagonal), 4 x 15 on 2100 rings and 2 x 4 on 15568 rings; at j = 100
+the tiles take 0.51 ms, where the two-row gemms took 1.08 (one BLAS
+thread, warm).  M_0 and M_1 lie in the result's own buffer,
+dim ceil(dim/2) + (dim-1) floor(dim/2) of its dim^2 complex entries.
+One np.take through a cached intp index gathers their
 band into a packed triangle, entries (i, i+d) diagonal after diagonal,
 which is multiplied once by the read-only table of R in the same order.
 R <= 1 since the binomials are log-concave, and R = 1 on d = 0 and 1; the
@@ -101,10 +101,9 @@ Every operator at spin j on one grid reads the same ring amplitudes, so
 each process computes them once: a bounded LRU cache keeps the flushed
 (2j+1, n_polar) table per ring radii (their bytes, so no grid reads
 another grid's table) and 2j, 8 (2j+1) n_polar bytes each (82 KB at
-j = 50, 32 MB at j = 1000 on the default grids), another the table of R
-and the band index per 2j, and another the log binomials per 2j that the
-clock operator reads.  All hand out read-only arrays; each operator is a
-new writable matrix.
+j = 50, 32 MB at j = 1000 on the default grids), and another the table
+of R and the band index per 2j.  Both hand out read-only arrays; each
+operator is a new writable matrix.
 """
 
 import functools
@@ -120,18 +119,6 @@ _FLUSH_BELOW = 2.0 ** -450
 # rows, halved while a block holds more than _BLOCK_SIZE products (see _block_rows)
 _BLOCK_ROWS = 256
 _BLOCK_SIZE = 2 ** 17
-
-
-@functools.lru_cache(maxsize=16)
-def _log_binomial_halves(two_j: int) -> np.ndarray:
-    """0.5 * log C(2j, n) for n = 0..2j.
-
-    Cached per 2j; the array is read-only.
-    """
-    lf = _log_factorials(two_j)
-    out = 0.5 * (lf[-1] - lf - lf[::-1])
-    out.flags.writeable = False
-    return out
 
 
 def _log_factorials(n: int) -> np.ndarray:

@@ -513,12 +513,13 @@ def test_array_estimate_at_large_spin():
 
 def test_array_budget_admits_documented_uses():
     assert cli.array_bytes(200, 6, labels=2001) < 100 * 2**20
-    assert cli.array_bytes(100, 15) + cli.grid_bytes(8 * 206, 202) < 100 * 2**20
+    verify_grid = cli.grid_bytes(*verify._grid_shapes(200, None))
+    assert cli.array_bytes(100, 15) + verify_grid < 100 * 2**20
 
 
 def test_verify_budget_covers_its_measured_peak():
-    # a cold run_checks in a fresh process; measured 3.5 MB at j = 30 and 26.9 MB at
-    # j = 100, against estimates of 6.5 and 65.8 MB
+    # a cold run_checks in a fresh process; measured 1.55 MB at j = 30 (1.06 MB of it
+    # held at every spin) and 7.5 MB at j = 100, against estimates of 3.1 and 17.9 MB
     code = ("import tracemalloc\n"
             "from spinclock import verify\n"
             "for j in (30, 100):\n"
@@ -529,7 +530,8 @@ def test_verify_budget_covers_its_measured_peak():
     peaks = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                            text=True).stdout.split()
     for j, peak in zip((30, 100), map(int, peaks)):
-        assert cli.array_bytes(j, 15) + cli.grid_bytes(8 * (2 * j + 6), 2 * j + 2) >= peak
+        plan = cli.array_bytes(j, 15) + cli.grid_bytes(*verify._grid_shapes(2 * j, None))
+        assert cli.VERIFY_BASE_BYTES + plan >= peak
 
 
 def _refuse_arrays(monkeypatch):
@@ -556,8 +558,8 @@ def test_spin_too_large_for_memory_is_refused_before_any_array(argv, monkeypatch
 @pytest.mark.parametrize("j, n, gib", [
     pytest.param("5", "100000", "37.4", id="100000-37.4"),
     pytest.param("5", "1" + "0" * 400, "inf", id="1" + "0" * 400 + "-inf"),
-    # 8.0 GiB on 4j+4 = 2876 azimuths instead of the default 2700
-    pytest.param("718", "20000", "7.7", id="j718-20000-7.7"),
+    # 6.2 GiB on 4j+4 = 2876 azimuths instead of the default 2700
+    pytest.param("718", "20000", "6.0", id="j718-20000-6.0"),
     # at j = 8e307, 4j+4 and the default azimuth count exceed the float range
     pytest.param("8e+307", "4", "inf", id="j8e+307-4-inf")])
 def test_quad_order_too_large_for_memory_is_refused_before_any_array(j, n, gib, monkeypatch,
@@ -739,11 +741,9 @@ def test_symbols_independent_of_blas_thread_count():
     assert len(digests) == 1
 
 
-@pytest.mark.parametrize("quad_order, shapes", [
-    (None, ((None, None), (10**5, 10**5))),
-    ("9", ((10**5, 10**5), (1, 1)))])
+@pytest.mark.parametrize("quad_order, shapes", [(None, (10**5, 10**5)), ("9", (10**5, 10**5))])
 def test_verify_budget_reads_the_grid_shapes(quad_order, shapes, monkeypatch, capsys):
-    # a 10^5 x 10^5 grid needs 782 GiB: verify refuses it whichever grid it is
+    # a 10^5 x 10^5 grid needs 782 GiB: verify refuses it, with or without --quad-order
     asked = []
 
     def grid_shapes(two_j, n):

@@ -155,19 +155,22 @@ def test_clock_symbol_broadcast_equals_scalar_calls():
 
 
 def test_clock_symbol_quantization_memory_per_node():
-    # verify's clock.operator_quadrature grid at j = 30: 528 rings of 62 nodes; 65 bytes
-    # per node measured, which the budget of verify plans as GRID_NODE_BYTES
+    # the clock symbol on 8 (2j+6) rings of 2j+2 nodes at j = 30, 528 x 62, on which it
+    # converges like n_polar^-3, and on the same grid verify's clock.beta_band_exact symbol
+    # Re xi / (1+|xi|^2): 73 and 40 bytes per node measured, which the budget of verify plans
+    # as GRID_NODE_BYTES
     j, m = 30, 60
     grid = sphere_grid(j, n_polar=8 * (m + 6), n_azimuthal=m + 2)
-    sym = lambda xi: clock.clock_symbol_q1(xi, m, 0.7, phi_prime=0.2)
-    symbols.reconstruct_operator(sym, j, grid)  # caches the rule and the ring amplitudes
-    tracemalloc.start()
-    try:
-        symbols.reconstruct_operator(sym, j, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= cli.GRID_NODE_BYTES * len(grid)
+    for sym in (lambda xi: clock.clock_symbol_q1(xi, m, 0.7, phi_prime=0.2),
+                lambda xi: xi.real / (1.0 + np.abs(xi) ** 2)):
+        symbols.reconstruct_operator(sym, j, grid)  # caches the rule and the ring amplitudes
+        tracemalloc.start()
+        try:
+            symbols.reconstruct_operator(sym, j, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.GRID_NODE_BYTES * len(grid)
 
 
 def test_classical_amplitude_broadcast_equals_scalar_calls():
@@ -232,8 +235,8 @@ def test_clock_operator_hermitian_traceless(j):
 
 def _clock_entries_mpmath(two_j, psi, omega):
     """C[n, n+1] = (2j+1) sqrt(1/2 omega) Gamma(m+5/2)/(m+1)! sqrt(C(m,n) C(m,n+1))
-    B(n+2, m-n+1/2) e^{i psi} with m = 2j, to 30 digits."""
-    with mpmath.workdps(30):
+    B(n+2, m-n+1/2) e^{i psi} with m = 2j, to 40 digits."""
+    with mpmath.workdps(40):
         m = two_j
         g = (mpmath.sqrt(1 / (2 * mpmath.mpf(omega)))
              * mpmath.gamma(m + mpmath.mpf(5) / 2) / mpmath.factorial(m + 1))
@@ -243,18 +246,45 @@ def _clock_entries_mpmath(two_j, psi, omega):
                 for n in range(m)]
 
 
+def _beta_band_bound(two_j):
+    """The bound on _beta_band's error relative to each entry, 1.4 sqrt(2j) eps + 2 eps.
+
+    Entry n is entry 0 times n steps, and each step rounds about five times: the
+    quotient of the binomials' integers (halved by its square root), the root, the
+    Beta's integer quotient, their product and the running product.  Each rounding is
+    at most u = eps/2, of independent sign, variance u^2/3, so after n steps the error
+    is a random walk of standard deviation 1.19 u sqrt(n) = 0.6 sqrt(n) eps, and the
+    largest over the band about 1.25 times that at its end.  1.4 sqrt(2j) eps is 2.3
+    such deviations (measured at most 0.84 sqrt(2j) eps, at 2j = 20 with k = 1); 2 eps
+    covers entry 0 and, in clock_operator, the scale's own roundings.
+    """
+    return (1.4 * math.sqrt(two_j) + 2) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("two_j", [20, 200, 1000, 1940])
+@pytest.mark.parametrize("k", [0.5, 1.0])
+def test_beta_band_matches_mpmath(two_j, k):
+    # (2j+1) sqrt(C(m,n) C(m,n+1)) B(n+2, m-n+k) to 40 digits; bound 63.7 eps at 2j = 1940
+    with mpmath.workdps(40):
+        want = np.array([float((two_j + 1) * mpmath.sqrt(mpmath.binomial(two_j, n)
+                                                        * mpmath.binomial(two_j, n + 1))
+                               * mpmath.beta(n + 2, two_j - n + mpmath.mpf(k)))
+                         for n in range(two_j)])
+    band = clock._beta_band(two_j, k)
+    assert np.max(np.abs(band - want) / want) < _beta_band_bound(two_j)
+
+
 @pytest.mark.parametrize("j", [0.5, 5.0, 50.0, 1000.0])
 def test_clock_operator_matches_mpmath_beta_expression(j):
-    # measured worst relative error of an entry: 0.9, 2.1, 5.1 and 12.2 (2j+1) eps
-    # at j = 1/2, 5, 50 and 1000, from the log-Gamma sums of the binomials and the
-    # Beta function; a 1e-13 change to the constant fails j = 5
+    # _beta_band's bound, 64.6 eps at j = 1000: each entry is the band times one scale
+    # (measured 0.9, 1.4, 8.7 and 14.2 eps).  A 1e-13 change to the constant fails every j
     two_j = int(2 * j)
     tau, phip, omega = 0.7, 0.3, 1.4
     op = clock.clock_operator(j, tau, phip, omega)
     n = np.arange(two_j)
     want = np.array(_clock_entries_mpmath(two_j, omega * tau + phip, omega))
     rel = np.max(np.abs(op[n, n + 1] - want) / np.abs(want))
-    assert rel < 32 * (two_j + 1) * np.finfo(float).eps
+    assert rel < _beta_band_bound(two_j)
     # exactly Hermitian, traceless and zero beyond the first off-diagonals
     assert np.array_equal(op, op.conj().T)
     off = op.copy()

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spinclock import clock, coherent, kernels, symbols, verify
+from spinclock import clock, coherent, kernels, symbols
 from spinclock.grids import SphereGrid, sphere_grid
 
 
@@ -402,14 +402,13 @@ def _count_calls(monkeypatch, module, name):
 def test_per_node_tiles_stay_within_one_thread_gemm_size(monkeypatch):
     # OpenBLAS runs a gemm of at most 2 * 2**17 multiply-adds on one thread, so no byte of
     # such a call moves with the thread count.  Every tile of per-node coefficients stays
-    # within it on the default grids, on 2100 rings, and on verify's clock grid at j = 30
-    # (528 rings of 62 azimuths); at j = 100 the tiles take at most half the 201 calls of
-    # one two-row gemm per diagonal
+    # within it on the default grids, on 2100 rings, and on 8 (2j+6) rings of 2j+2
+    # azimuths at j = 30 (528 x 62); at j = 100 the tiles take at most half the 201 calls
+    # of one two-row gemm per diagonal
     sym = lambda xi: (1.0 + 0.5 * xi.real) / np.sqrt(1.0 + np.abs(xi) ** 2)
     cases = [(j, sphere_grid(j)) for j in (50, 100, 200)]
     cases.append((150, sphere_grid(150, n_polar=2100, n_azimuthal=3)))
-    cases.append((30, sphere_grid(30, *verify._grid_shapes(60, None)[1])))
-    assert len(cases[-1][1].rho) == 528
+    cases.append((30, sphere_grid(30, n_polar=528, n_azimuthal=62)))
     matmul, shapes = np.matmul, []
 
     def recorded(a, b, **kwargs):
@@ -448,14 +447,12 @@ def test_log_factorials_match_mpmath():
     exact = np.array([float(mpmath.log(mpmath.factorial(k))) for k in range(401)])
     assert lf[0] == lf[1] == 0.0
     assert np.max(np.abs(lf[2:] - exact[2:]) / exact[2:]) < 4 * np.finfo(float).eps
-    assert np.array_equal(kernels._log_binomial_halves(400),
-                          0.5 * (lf[-1] - lf - lf[::-1]))
 
 
 def test_cached_arrays_are_read_only():
     grid = sphere_grid(4.5)
     for a in (kernels._ring_amplitudes(grid.rho.tobytes(), 9), *kernels._packed_tables(9),
-              kernels._log_binomial_halves(9), clock._clock_magnitudes(9)):
+              clock._beta_band(9, 0.5)):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0

@@ -1,11 +1,13 @@
+import cmath
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from spinclock import classical, clock, grids, verify
+from spinclock import classical, clock, coherent, grids, verify
 from spinclock.grids import sphere_grid
 
 
@@ -24,17 +26,75 @@ def test_clock_covariance_needs_spin_one():
     checks = _by_name(verify.run_checks(0.5))
     assert "symbols.berezin_eigenvalue" in checks
     assert "clock.operator_covariance" not in checks
-    assert checks["clock.operator_quadrature"].passed
+    assert checks["clock.beta_band_exact"].passed
+    assert checks["clock.operator_band"].passed
 
 
-def test_clock_quadrature_check_fails_on_a_wrong_constant(monkeypatch):
-    # the covariance check cannot see a wrong constant; the quadrature one must
+@pytest.mark.parametrize("error", [1e-4, 1e-12])
+def test_operator_band_check_fails_on_a_wrong_constant(error, monkeypatch):
+    # the covariance check cannot see a wrong constant; the band check must, down to
+    # 1e-12, 1100 times its tolerance 4 eps
     exact = clock.clock_operator
-    monkeypatch.setattr(clock, "clock_operator", lambda *a, **kw: (1 + 1e-4) * exact(*a, **kw))
+    monkeypatch.setattr(clock, "clock_operator", lambda *a, **kw: (1 + error) * exact(*a, **kw))
     checks = _by_name(verify.run_checks(5.0))
     assert checks["clock.operator_covariance"].passed
-    assert not checks["clock.operator_quadrature"].passed
-    assert checks["clock.operator_quadrature"].measured > 9e-5
+    assert checks["clock.beta_band_exact"].passed
+    assert not checks["clock.operator_band"].passed
+    assert checks["clock.operator_band"].measured > 0.9 * error
+
+
+def test_operator_band_check_fails_on_one_entry_off_by_1e_6(monkeypatch):
+    # at j = 5 every entry of the band is within a factor 2.1 of the largest
+    exact = clock.clock_operator
+
+    def off(*args, **kwargs):
+        op = exact(*args, **kwargs)
+        op[3, 4] *= 1 + 1e-6
+        return op
+
+    monkeypatch.setattr(clock, "clock_operator", off)
+    check = _by_name(verify.run_checks(5.0))["clock.operator_band"]
+    assert not check.passed
+    assert check.measured > 1e-7
+
+
+def test_operator_band_check_fails_on_the_transposed_band(monkeypatch):
+    # the conjugate band on the upper diagonal: the clock's phase turned the other way
+    exact = clock.clock_operator
+    monkeypatch.setattr(clock, "clock_operator", lambda *a, **kw: exact(*a, **kw).T)
+    assert not _by_name(verify.run_checks(5.0))["clock.operator_band"].passed
+
+
+def test_beta_band_check_fails_when_the_beta_argument_is_off_by_1e_9(monkeypatch):
+    # B(n+2, m-n+k) moves by (psi(m-n+k) - psi(m+k+2)) 1e-9 relative, up to 3e-9 at j = 5,
+    # a million times the tolerance 4 sqrt(12) eps = 3.1e-15
+    band = clock._beta_band
+    monkeypatch.setattr(clock, "_beta_band", lambda two_j, k: band(two_j, k + 1e-9))
+    check = verify._beta_band_check(5.0, sphere_grid(5.0))
+    assert not check.passed
+    assert check.measured > 1e-9
+
+
+def test_beta_band_check_fails_when_the_ring_weights_are_off_by_1e_12(monkeypatch):
+    # weights 1 + 1e-12 times too large scale the operator by as much: 1e-12 relative,
+    # 46 times the tolerance 4 sqrt(602) eps = 2.2e-14 at j = 300
+    assert verify._beta_band_check(300, sphere_grid(300)).passed
+    rule = grids._gauss_legendre
+    monkeypatch.setattr(grids, "_gauss_legendre",
+                        lambda n: (rule(n)[0], rule(n)[1] * (1.0 + 1e-12)))
+    check = verify._beta_band_check(300, sphere_grid(300))
+    assert not check.passed
+    assert 0.9e-12 < check.measured < 1.1e-12
+
+
+def test_gauge_phase_factoring_check_fails_on_a_label_off_by_1e_9(monkeypatch):
+    # xi (1 + 1e-9) moves amplitude n of |xi> by about (n - 2j |xi|^2/(1+|xi|^2)) 1e-9
+    factor = coherent.factor_gauge_phase
+    monkeypatch.setattr(coherent, "factor_gauge_phase",
+                        lambda a, b: (factor(a, b)[0], factor(a, b)[1] * (1.0 + 1e-9)))
+    check = _by_name(verify.run_checks(5.0))["coherent.gauge_phase_factoring"]
+    assert not check.passed
+    assert check.measured > 1e-10
 
 
 def test_on_shell_energy_check_fails_without_the_half(monkeypatch):
@@ -115,7 +175,8 @@ def test_seeds_draw_different_labels():
 
 @pytest.mark.parametrize("quad_order", [None, 9])
 def test_run_checks_builds_the_grids_grid_shapes_names(quad_order, monkeypatch):
-    # the memory budget of `spinclock verify` reads the same shapes
+    # one grid, with or without quad_order; the memory budget of `spinclock verify` reads
+    # the same shape
     built = []
 
     def recording(j, n_polar=None, n_azimuthal=None):
@@ -124,4 +185,19 @@ def test_run_checks_builds_the_grids_grid_shapes_names(quad_order, monkeypatch):
 
     monkeypatch.setattr(verify, "sphere_grid", recording)
     verify.run_checks(2.0, quad_order=quad_order)
-    assert built == list(verify._grid_shapes(4, quad_order))
+    assert built == [verify._grid_shapes(4, quad_order)]
+
+
+def test_gauge_covariance_check_fails_when_n_arg_alpha_is_off_by_1e_9(monkeypatch):
+    # a phase 1e-9 n arg alpha that the gauge rotation moves by 1e-9 n theta_0: up to
+    # 6e-8 of the largest amplitude at j = 5, against the tolerance 16 (2j+1) eps = 3.9e-14
+    project = coherent.project_coherent
+
+    def off(alpha, beta, m_prime):
+        amps, norm_sq = project(alpha, beta, m_prime)
+        return amps * np.exp(1e-9j * np.arange(m_prime + 1) * cmath.phase(alpha)), norm_sq
+
+    monkeypatch.setattr(coherent, "project_coherent", off)
+    check = _by_name(verify.run_checks(5.0))["coherent.gauge_covariance"]
+    assert not check.passed
+    assert check.measured > 1e-10
