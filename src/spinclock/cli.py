@@ -27,11 +27,11 @@ ARRAY_BUDGET = 4 * 2**30
 # arrays: tracemalloc measures 430-890 over every subcommand and format, the
 # most for symbols --format json (10 columns)
 SWEEP_POINT_BYTES = 1024
-# bytes per grid node of quantizing a symbol: tracemalloc measures 73 for the clock
-# symbol on 8 (2j+6) rings of 2j+2 nodes at j = 30, 100 and 200, and 60, 38 and 37 for
-# verify's symbols cos(Theta) and Re xi / (1+|xi|^2) on its grid at j = 30, 100 and 200,
-# each a first call that builds the ring amplitudes and the binomial ratios, its result
-# included
+# bytes per grid node of quantizing a symbol on verify's grid: tracemalloc measures at
+# most 60, 38 and 37 for its symbols cos(Theta) and Re xi / (1+|xi|^2) at j = 30, 100
+# and 200, each a first call that builds the ring amplitudes and the binomial ratios, its
+# result included.  The clock symbol on a grid of 8 (2j+6) rings of 2j+2 nodes, which no
+# command builds, measures 73 at j = 30 (test_clock_symbol_quantization_memory_per_node)
 GRID_NODE_BYTES = 80
 # bytes verify holds at every spin: tracemalloc measures 1.06 MB at j = 5 and 10, most
 # of it numpy.polynomial, which the width fits import on first use

@@ -108,28 +108,23 @@ def resolution_of_unity(j: float, grid: SphereGrid | None = None) -> np.ndarray:
 def _diagonal_operator(j: float, grid: SphereGrid | None, coefficients) -> np.ndarray:
     """((2j+1)/pi) * sum_k c_k |xi_k><xi_k| over grid, the default grid of spin j when None.
 
-    coefficients(grid) returns the c_k w_k, one per node or one per ring
-    (see kernels.ring_projector_sum); whatever it builds on the way is
-    freed before the ring sum runs.  Coefficients one per ring reach only
-    the diagonals d = 0 mod n_azimuthal, so only those are scaled: the
-    rest are exactly +0+0j, which the complex multiply would leave as they
-    are.
+    coefficients(grid) returns the c_k w_k, one per node, or one per ring
+    where they are constant on each ring; whatever it builds on the way is
+    freed before the ring sum runs.  One value per ring, which per-node
+    coefficients on a grid of one azimuth also are, goes to
+    kernels.per_ring_sum times (2j+1)/pi, so only the diagonals it reaches
+    are scaled; per-node ones go to kernels.ring_projector_sum, whose
+    result is scaled as a whole.
     """
     two_j = _check_two_j(j)
     if grid is None:
         grid = sphere_grid(j)
     coeff = coefficients(grid)
-    dim, scale = two_j + 1, (two_j + 1) / np.pi
+    scale = (two_j + 1) / np.pi
+    if np.size(coeff) == len(grid.rho):
+        return kernels.per_ring_sum(grid, scale * np.ravel(coeff), two_j)
     out = kernels.ring_projector_sum(grid, coeff, two_j)
-    if np.size(coeff) != len(grid.rho):
-        out *= scale
-        return out
-    flat = out.reshape(-1)
-    for d in range(0, dim, grid.n_azimuthal):
-        # entries (i, i+d) above the diagonal and (i+d, i) below it
-        flat[d:(dim - d) * dim:dim + 1] *= scale
-        if d:
-            flat[d * dim::dim + 1] *= scale
+    out *= scale
     return out
 
 

@@ -52,6 +52,10 @@ def spin_operators(m_prime: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def casimir(m_prime: int) -> np.ndarray:
-    """S1^2 + S2^2 + S3^2; equals j(j+1) I with j = m'/2."""
+    """S1^2 + S2^2 + S3^2; equals j(j+1) I with j = m'/2.
+
+    S3 is diagonal, so its square is the square of its diagonal.
+    """
     s1, s2, s3 = spin_operators(m_prime)
-    return s1 @ s1 + s2 @ s2 + s3 @ s3
+    d3 = np.diag(s3)
+    return s1 @ s1 + s2 @ s2 + np.diag(d3 * d3)

@@ -22,12 +22,11 @@ with real a_n, so entry (n, n') of the sum is
     sum_rings a_n a_n' sum_phi c(rho, phi) e^{i (n - n') phi},
 
 and the inner sum is column (n' - n) mod n_azimuthal of the azimuthal
-FFT of c on that ring.  Coefficients given one per ring reach only
-column 0, so no FFT runs and only the diagonals d = 0 mod n_azimuthal
-are computed, each as one real sum over the rings of the products
-a_i a_{i+d}, in blocks of at most 256 rows, halved while a block holds
-more than 2**17 products (_block_rows), written straight into the result,
-the rest being exactly zero.  For real per-node coefficients one
+FFT of c on that ring.  Coefficients constant on each ring reach only
+column 0, so per_ring_sum runs no FFT and computes only the diagonals
+d = 0 mod n_azimuthal, each as one np.einsum over the rings of the
+products a_{i+d} a_i, written straight into the result, the rest being
+exactly zero.  For real per-node coefficients one
 np.fft.rfft per ring gives every column, and the kernel computes one
 triangle and mirrors it as its conjugate, so the result is exactly
 Hermitian.  Per-node coefficients cost O(n_polar (n_az log n_az + dim^2))
@@ -72,19 +71,16 @@ its entries in the packed order.  The temporaries are n_polar x n_az and
 n_polar x dim, never npts x dim: the spectrum, its gathered columns, the
 buffer of G rows and the packed triangle.
 
-The sums run in BLAS, yet their bytes do not depend on the BLAS thread
-count, since each call is kept small.  Measured with numpy's OpenBLAS
-0.3.31 at 1 and 2 threads, the bytes of a gemv moved from about 4.6e5
-products per call, and those of the gemm from about 1e6 multiply-adds:
-on 2100 rings, 256-row blocks moved both.  A tile of at most 2**18
-multiply-adds, and a block of at most 2**17 products, stay 3.5 times
-below either; OpenBLAS runs a gemm of that size on one thread.  numpy
-runs a product of one row as a gemv, which OpenBLAS splits over threads
-at sizes where it runs a gemm on one (a 1 x 4096 row times a 4096 x 64
-matrix ran on two), so no tile block is one row where dim > 2, and a
-one-row block of per-ring coefficients is summed in einsum instead:
-numpy runs a one-row gemv as a dot product, which OpenBLAS splits over
-the rings beyond 10**4 of them.
+The per-node tiles run in BLAS, yet their bytes do not depend on the
+BLAS thread count, since each call is kept small.  Measured with numpy's
+OpenBLAS 0.3.31 at 1 and 2 threads, the bytes of a gemm moved from about
+1e6 multiply-adds.  A tile of at most 2**18 multiply-adds stays 3.5
+times below that; OpenBLAS runs a gemm of that size on one thread.
+numpy runs a product of one row as a gemv, which OpenBLAS splits over
+threads at sizes where it runs a gemm on one (a 1 x 4096 row times a
+4096 x 64 matrix ran on two), so no tile block is one row where dim > 2.
+The per-ring sums run in einsum, which never calls BLAS, so their bytes
+do not depend on the thread count at any size.
 
 The ring sums do almost no subnormal arithmetic, which costs a microcode
 assist per operation on common x86 cores.  Ring amplitudes below
@@ -115,9 +111,7 @@ from .grids import SphereGrid
 
 # ring amplitudes below this are dropped (see the module docstring)
 _FLUSH_BELOW = 2.0 ** -450
-# ring_projector_sum sums the amplitude products over the rings in blocks of this many
-# rows, halved while a block holds more than _BLOCK_SIZE products (see _block_rows)
-_BLOCK_ROWS = 256
+# the products of one per-node tile: 2 * _BLOCK_SIZE multiply-adds at most (see _tile)
 _BLOCK_SIZE = 2 ** 17
 
 
@@ -247,7 +241,8 @@ def _packed_tables(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     product M_p, p = d % 2, which holds dim - p rows of (dim + 1 - p) // 2
     entries, M_1 after M_0.  It is intp, the index type np.take reads: an
     int32 table, half the size, cost a converted copy of it on every call.
-    Cached per 2j; 4 dim (dim+1) bytes each, 325 KB at j = 100; read-only.
+    Cached per 2j; 4 dim (dim+1) bytes each, 162 KB at j = 100 (325 KB the
+    pair); read-only.
     """
     dim, n_even = two_j + 1, (two_j + 2) // 2
     ratios = np.ones(dim * (dim + 1) // 2)
@@ -269,37 +264,61 @@ def _packed_tables(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return ratios, index
 
 
+def per_ring_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
+    """sum_k c_k |xi_k><xi_k| over the nodes of grid for c_k constant on each ring, a dense
+    (2j+1, 2j+1) matrix.
+
+    coeff holds one value per ring, the c_k of every node on it.
+    Only the diagonals d = 0 mod n_azimuthal are non-zero, so a grid with
+    n_azimuthal <= 2j still gives the aliased quadrature sum.  Entries
+    (i, i+d) and (i+d, i) are both sum_p a_{i+d} a_i n_az coeff[p], one
+    np.einsum per diagonal, which never calls BLAS.  For real coeff the
+    imaginary parts are +0.0, but -0.0 below the main diagonal on those
+    diagonals, the negated +0.0 of a real sum's conjugate; complex coeff
+    is summed as S(Re coeff) + i S(Im coeff).
+    """
+    coeff = np.asarray(coeff)
+    if np.iscomplexobj(coeff):
+        return per_ring_sum(grid, coeff.real, two_j) + 1j * per_ring_sum(grid, coeff.imag, two_j)
+    dim, n_az = two_j + 1, grid.n_azimuthal
+    amps = _ring_amplitudes(np.asarray(grid.rho, dtype=np.float64).tobytes(), two_j)
+    col = n_az * coeff
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
+    for d in range(0, dim, n_az):
+        # entry i of each: (i, i+d) above the diagonal, (i+d, i) below it
+        out_re[d:(dim - d) * dim:dim + 1] = out_re[d * dim::dim + 1] = np.einsum(
+            "ip,ip,p->i", amps[d:], amps[:dim - d], col)
+        if d:
+            out_im[d * dim::dim + 1] = -0.0
+    return out
+
+
 def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     """sum_k coeff[k] |xi_k><xi_k| over the nodes of grid, a dense (2j+1, 2j+1) matrix.
 
-    coeff holds one value per grid node in the grid's order, or one value
-    per ring when it is constant on each ring; then only the diagonals
-    d = 0 mod n_azimuthal are computed, each as one real sum over the
-    rings, and the rest are exactly zero, so a grid with n_azimuthal <= 2j
-    still gives the aliased quadrature sum.  Per-node coefficients fill
-    every diagonal by anti-diagonals: the ring sums of G_s = a_{s//2}
-    a_{s-s//2} with every spectrum column are, per parity of s, one band of
-    a matrix product, computed in tiles, then gathered into a packed upper
+    coeff holds one value per grid node in the grid's order (per_ring_sum
+    takes coefficients constant on each ring).  Every diagonal is filled
+    by anti-diagonals: the ring sums of G_s = a_{s//2} a_{s-s//2} with
+    every spectrum column are, per parity of s, one band of a matrix
+    product, computed in tiles, then gathered into a packed upper
     triangle, multiplied once by the ratios of _packed_tables, and one
     mirror writes it and its conjugate into the result (see the module
     docstring).  Real coefficients give an exactly Hermitian result;
     complex ones are summed as S(Re coeff) + i S(Im coeff).  Ring
     amplitudes below 2**-450 are dropped, which moves no entry by more than
     2**-450 sum_k |coeff[k]| (see the module docstring).  The sums over the
-    rings run in BLAS, one np.matmul per tile or block of at most 2**18
+    rings run in BLAS, one np.matmul per tile block of at most 2**18
     multiply-adds, a size at which their bytes do not depend on the BLAS
-    thread count, but for one-row blocks of per-ring coefficients, which
-    run in einsum (see the module docstring).
+    thread count.
     """
     coeff = np.asarray(coeff)
     if np.iscomplexobj(coeff):
         return (ring_projector_sum(grid, coeff.real, two_j)
                 + 1j * ring_projector_sum(grid, coeff.imag, two_j))
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
-    coeff = coeff.reshape(n_polar, -1)
+    coeff = coeff.reshape(n_polar, n_az)
     amps = _ring_amplitudes(np.asarray(grid.rho, dtype=np.float64).tobytes(), two_j)
-    if coeff.shape[1] == 1:
-        return _ring_constant_sum(amps, n_az * coeff[:, 0], n_az)
     # a first call at this 2j builds the tables here, while the heap holds no more than
     # the coefficients: built after the tiles, they left the process 0.4 MiB larger at j = 100
     ratios, index = _packed_tables(two_j)
@@ -347,52 +366,6 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     np.multiply(vals.imag, ratios, out=vals.imag)
     _mirror_packed(vals, out)
     return out
-
-
-def _ring_constant_sum(amps: np.ndarray, col: np.ndarray, n_az: int) -> np.ndarray:
-    """The ring sum of coefficients constant on each ring, col[p] being their sum on ring p.
-
-    Only the diagonals d = 0 mod n_az are non-zero, and they are real: entry
-    (i, i+d) and entry (i+d, i) are sum_p a_{i+d} a_i col[p].  The imaginary
-    parts are +0.0, but -0.0 below the main diagonal on those diagonals, the
-    negated +0.0 of a real sum's conjugate.
-    """
-    dim, n_polar = amps.shape
-    product = np.empty((min(dim, _block_rows(n_polar)), n_polar))
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
-    vals = np.empty(dim)
-    for d in range(0, dim, n_az):
-        for start in range(0, dim - d, len(product)):
-            stop = min(start + len(product), dim - d)
-            block = np.multiply(amps[d + start:d + stop], amps[start:stop],
-                                out=product[:stop - start])
-            if stop - start == 1:
-                # numpy runs a one-row gemv as a dot product, which OpenBLAS splits over
-                # the rings beyond 10**4 of them; einsum sums it on one thread
-                vals[start] = np.einsum("r,r->", block[0], col)
-            else:
-                np.matmul(block, col, out=vals[start:stop])
-        # entry i of each: (i, i+d) above the diagonal, (i+d, i) below it
-        out_re[d:(dim - d) * dim:dim + 1] = out_re[d * dim::dim + 1] = vals[:dim - d]
-        if d:
-            out_im[d * dim::dim + 1] = -0.0
-    return out
-
-
-def _block_rows(n_polar: int) -> int:
-    """Rows of n_polar products per BLAS call: _BLOCK_ROWS, halved while the block holds
-    more than _BLOCK_SIZE products.
-
-    The power-of-two rows hold the bytes too, not only the size: the sums
-    of 256-row blocks match those of one gemv over the whole diagonal byte
-    for byte, and blocks of 2**17 // n_polar rows (326 at j = 200, in place
-    of 256 + 145) do not (test_resolution_of_unity_bytes_match_reference_ring_sum).
-    """
-    rows = _BLOCK_ROWS
-    while rows > 1 and rows * n_polar > _BLOCK_SIZE:
-        rows //= 2
-    return rows
 
 
 def _tile(n_polar: int) -> tuple[int, int]:

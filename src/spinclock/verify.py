@@ -136,18 +136,23 @@ def run_checks(j: float = 5.0, seed: int = 0,
         branch_err = max(branch_err, abs(classical.classical_clock_readout(cfg, q2) - q1))
     results.append(_check("classical.clock_branch_consistency", branch_err, 1e-12))
 
-    # su(2) structure; products of entries up to about j round to about eps j^2
+    # su(2) structure; products of entries up to about j round to about eps j^2.  S3 is
+    # diagonal, so its products scale the rows or columns of the other by its diagonal d3
+    # and its spectrum is d3; its largest off-diagonal entry joins the commutator and
+    # spectrum errors, so an S3 that is not diagonal fails both
     if two_j >= 1:
         s1, s2, s3 = fock.spin_operators(two_j)
+        d3 = np.diag(s3)
+        off3 = np.max(np.abs(s3 - np.diag(d3)))
         comm = max(np.max(np.abs(s1 @ s2 - s2 @ s1 - 1j * s3)),
-                   np.max(np.abs(s2 @ s3 - s3 @ s2 - 1j * s1)),
-                   np.max(np.abs(s3 @ s1 - s1 @ s3 - 1j * s2)))
+                   np.max(np.abs(s2 * d3 - d3[:, None] * s2 - 1j * s1)),
+                   np.max(np.abs(d3[:, None] * s1 - s1 * d3 - 1j * s2)), off3)
         results.append(_check("fock.su2_commutators", comm, 16 * EPS * j * j))
         cas_err = np.max(np.abs(fock.casimir(two_j) - j * (j + 1) * np.eye(two_j + 1)))
         results.append(_check("fock.casimir", cas_err, 64 * EPS * j * (j + 1)))
         expect = np.arange(-j, j + 1)
-        spec_err = max(np.max(np.abs(np.sort(np.linalg.eigvalsh(s)) - expect))
-                       for s in (s1, s2, s3))
+        spec_err = max(max(np.max(np.abs(np.sort(np.linalg.eigvalsh(s)) - expect))
+                           for s in (s1, s2)), np.max(np.abs(np.sort(d3.real) - expect)), off3)
         results.append(_check("fock.spin_spectrum", spec_err, 1e-10))
 
     # projection and gauge covariance on r = 2j+1, where e^{-r} r^{2j} / (2j)! stays in range

@@ -131,17 +131,17 @@ def _reference_binomial_ratios(two_j):
     return table
 
 
-def _reference_ring_sum(grid, coeff, two_j):
+def _reference_ring_sum(grid, coeff, two_j, per_ring=False):
     """The ring sum entry by entry, with no gathered columns, packed triangle or mirror.
 
-    Real coeff only; summed in the order ring_projector_sum sums, on amplitudes below
-    2**-450 set to 0.  Per-ring coefficients over the products a_{n-d} a_n, diagonal by
-    diagonal.  Per-node ones by the kernel's tile products of the rows
-    G_s = a_{s//2} a_{s-s//2} with the spectrum columns of each parity, whose band entries
-    a scalar loop then multiplies by R and writes into the matrix, with their conjugates."""
+    Real coeff only; summed in the order the kernels sum, on amplitudes below 2**-450 set
+    to 0.  Per-ring coefficients (per_ring_sum) by the kernel's einsum of the products
+    a_{n+d} a_n, diagonal by diagonal.  Per-node ones (ring_projector_sum) by the kernel's
+    tile products of the rows G_s = a_{s//2} a_{s-s//2} with the spectrum columns of each
+    parity, whose band entries a scalar loop then multiplies by R and writes into the
+    matrix, with their conjugates."""
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
     coeff = coeff.reshape(n_polar, -1)
-    per_ring = coeff.shape[1] == 1
     spectrum = n_az * coeff if per_ring else np.fft.rfft(coeff, axis=1)
     amps = kernels._magnitudes(grid.rho, two_j)
     amps = np.where(amps < 2.0 ** -450, 0.0, amps)
@@ -180,12 +180,7 @@ def _reference_ring_sum(grid, coeff, two_j):
         return out
     out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
     for d in range(0, dim, n_az):
-        product = amps[d:] * amps[:dim - d]
-        if dim - d == 1:
-            # a one-entry diagonal is one row, which the kernel sums in einsum
-            upper = np.einsum("r,r->", product[0], column(d).real)
-        else:
-            upper = np.matmul(product, column(d).real)
+        upper = np.einsum("ip,ip,p->i", amps[d:], amps[:dim - d], column(d).real)
         above = slice(d, (dim - d) * dim, dim + 1)
         below = slice(d * dim, None, dim + 1)
         out_re[below] = out_re[above] = upper
@@ -209,8 +204,10 @@ def test_ratio_operator_bytes_match_reference_ring_sum(j):
 
 @pytest.mark.parametrize("j", [100, 200])
 def test_resolution_of_unity_bytes_match_reference_ring_sum(j):
+    # (2j+1)/pi scales the ring weights before the ring sum, not the sum after it
     grid = sphere_grid(j)
-    want = ((2 * j + 1) / np.pi) * _reference_ring_sum(grid, grid.ring_weights, 2 * j)
+    want = _reference_ring_sum(grid, ((2 * j + 1) / np.pi) * grid.ring_weights, 2 * j,
+                               per_ring=True)
     assert coherent.resolution_of_unity(j).tobytes() == want.tobytes()
 
 
@@ -224,9 +221,10 @@ def test_ring_sum_bytes_match_reference_ring_sum_on_aliased_grids(n_polar, n_azi
         grid = sphere_grid(two_j / 2, n_polar=n_polar, n_azimuthal=n_azimuthal)
         per_ring = grid.ring_weights * rng.uniform(-1.0, 2.0, len(grid.rho))
         per_node = grid.weights * rng.normal(size=len(grid))
-        for coeff in (per_ring, per_node):
-            want = _reference_ring_sum(grid, coeff, two_j)
-            assert kernels.ring_projector_sum(grid, coeff, two_j).tobytes() == want.tobytes()
+        want = _reference_ring_sum(grid, per_ring, two_j, per_ring=True)
+        assert kernels.per_ring_sum(grid, per_ring, two_j).tobytes() == want.tobytes()
+        want = _reference_ring_sum(grid, per_node, two_j)
+        assert kernels.ring_projector_sum(grid, per_node, two_j).tobytes() == want.tobytes()
         imag = grid.weights * rng.normal(size=len(grid))
         want = (_reference_ring_sum(grid, per_node, two_j)
                 + 1j * _reference_ring_sum(grid, imag, two_j))
@@ -238,7 +236,7 @@ def test_ring_constant_sum_writes_negative_zeros_below_the_diagonal():
     # 2j = 6 on 2 azimuths aliases diagonals 2, 4 and 6: their imaginary parts are -0.0
     # below the main diagonal, as the conjugate of a real sum; every other one is +0.0
     grid = sphere_grid(3, n_azimuthal=2)
-    out = kernels.ring_projector_sum(grid, grid.ring_weights, 6)
+    out = kernels.per_ring_sum(grid, grid.ring_weights, 6)
     row, col = np.indices(out.shape)
     assert not np.any(out.imag)
     assert np.array_equal(np.signbit(out.imag), (row > col) & ((row - col) % 2 == 0))
@@ -277,7 +275,7 @@ def test_ring_sums_peak_no_higher_than_before_the_packed_triangle():
 @pytest.mark.parametrize("n_azimuthal", [3, 5])
 def test_ring_sum_matches_unflushed_direct_sum_at_large_spin(two_j, n_azimuthal):
     # the direct sum uses every amplitude, however small; the ring sum drops
-    # those below 2**-511 and forms its products in blocks (dim > 256 at 2j = 400).
+    # those below 2**-450 and sums its products in tiles of blocks of rows.
     # On these rings e^{Re xi}/(1+|xi|^2) reaches 1e64 (2j = 200) and 1e135 (2j = 400).
     grid = sphere_grid(two_j / 2, n_azimuthal=n_azimuthal)
     xi = grid.xi
@@ -291,15 +289,15 @@ def test_ring_sum_matches_unflushed_direct_sum_at_large_spin(two_j, n_azimuthal)
 
 
 def test_operators_independent_of_blas_thread_count():
-    # the ring sums' gemm and gemv are kept to blocks small enough that no byte moves
-    # with the BLAS thread count.  The azimuth-dependent symbol runs reconstruct_operator
-    # over every diagonal: at j = 100 in one block, at j = 200 (dim 401, 402 rings) in
-    # two.  resolution_of_unity at j = 150 on 7 azimuths runs a gemv over 302 rings on
-    # every 7th diagonal.  On 2100 rings the blocks shrink to 32 rows: with 256, both
-    # sums moved at two threads.  On 20000 rings of one azimuth, 2j = 0 and 2 make
-    # one-row blocks, which a gemv would run as a dot product split over the rings.
-    # sphere_grid(1000) runs the polar rule's contractions at n = 2002.  Each j = 100
-    # operator is built twice: the second (warm) call reads the cached amplitudes
+    # the per-node ring sums' gemm tiles are kept small enough that no byte moves with
+    # the BLAS thread count, and the per-ring sums run in einsum, which calls no BLAS.
+    # The azimuth-dependent symbol runs reconstruct_operator over every diagonal, at
+    # j = 100 and at j = 200 (dim 401, 402 rings).  resolution_of_unity at j = 150 on
+    # 7 azimuths sums every 7th diagonal over 302 rings.  On 2100 rings, BLAS blocks of
+    # 256 rows moved both sums at two threads.  On 20000 rings of one azimuth, 2j = 0
+    # and 2 sum one-entry diagonals, which a gemv would run as a dot product split over
+    # the rings.  sphere_grid(1000) runs the polar rule's contractions at n = 2002.  Each
+    # j = 100 operator is built twice: the second (warm) call reads the cached amplitudes
     code = ("import hashlib\n"
             "import numpy as np\n"
             "from spinclock import clock, coherent, grids, symbols\n"

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinclock import classical, clock, coherent, grids, verify
+from spinclock import classical, clock, coherent, fock, grids, verify
 from spinclock.grids import sphere_grid
 
 
@@ -95,6 +95,26 @@ def test_gauge_phase_factoring_check_fails_on_a_label_off_by_1e_9(monkeypatch):
     check = _by_name(verify.run_checks(5.0))["coherent.gauge_phase_factoring"]
     assert not check.passed
     assert check.measured > 1e-10
+
+
+def test_su2_checks_fail_on_an_s3_with_one_off_diagonal_entry(monkeypatch):
+    # run_checks takes S3's products and spectrum from its diagonal; an off-diagonal
+    # entry of 1e-9 must still fail the commutators (tolerance 16 eps j^2 = 8.9e-14 at
+    # j = 5) and the spectrum (1e-10)
+    exact = fock.spin_operators
+
+    def off(m_prime):
+        s1, s2, s3 = exact(m_prime)
+        s3[2, 5] = 1e-9
+        return s1, s2, s3
+
+    checks = _by_name(verify.run_checks(5.0))
+    assert checks["fock.su2_commutators"].passed and checks["fock.spin_spectrum"].passed
+    monkeypatch.setattr(fock, "spin_operators", off)
+    checks = _by_name(verify.run_checks(5.0))
+    for name in ("fock.su2_commutators", "fock.spin_spectrum"):
+        assert not checks[name].passed
+        assert checks[name].measured >= 1e-9
 
 
 def test_on_shell_energy_check_fails_without_the_half(monkeypatch):
