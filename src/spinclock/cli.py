@@ -28,10 +28,11 @@ ARRAY_BUDGET = 4 * 2**30
 # most for symbols --format json (10 columns)
 SWEEP_POINT_BYTES = 1024
 # bytes per grid node of quantizing a symbol on verify's grid: tracemalloc measures at
-# most 60, 38 and 37 for its symbols cos(Theta) and Re xi / (1+|xi|^2) at j = 30, 100
-# and 200, each a first call that builds the ring amplitudes and the binomial ratios, its
-# result included.  The clock symbol on a grid of 8 (2j+6) rings of 2j+2 nodes, which no
-# command builds, measures 73 at j = 30 (test_clock_symbol_quantization_memory_per_node)
+# most 65, 42 and 41 for its symbols cos(Theta) and Re xi / (1+|xi|^2) at j = 30, 100
+# and 200, each a first call that builds the rows of ring-amplitude products of both
+# parities and the binomial ratios, its result included.  The clock symbol on a grid of
+# 8 (2j+6) rings of 2j+2 nodes, which no command builds, measures 73 at j = 30
+# (test_clock_symbol_quantization_memory_per_node)
 GRID_NODE_BYTES = 80
 # bytes verify holds at every spin: tracemalloc measures 1.06 MB at j = 5 and 10, most
 # of it numpy.polynomial, which the width fits import on first use

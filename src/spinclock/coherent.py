@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ChartSingularityError
-from .grids import SphereGrid, _check_m, _check_two_j, sphere_grid
+from .grids import SphereGrid, _check_m, _check_two_j, _default_grid
 
 
 def su2_coherent(xi, j: float) -> np.ndarray:
@@ -108,9 +108,11 @@ def resolution_of_unity(j: float, grid: SphereGrid | None = None) -> np.ndarray:
 def _diagonal_operator(j: float, grid: SphereGrid | None, coefficients) -> np.ndarray:
     """((2j+1)/pi) * sum_k c_k |xi_k><xi_k| over grid, the default grid of spin j when None.
 
-    coefficients(grid) returns the c_k w_k, one per node, or one per ring
-    where they are constant on each ring; whatever it builds on the way is
-    freed before the ring sum runs.  One value per ring, which per-node
+    The default grid is grids._default_grid's cached one, with read-only
+    arrays, which only coefficients(grid) sees.  coefficients(grid)
+    returns the c_k w_k, one per node, or one per ring where they are
+    constant on each ring; whatever it builds on the way is freed before
+    the ring sum runs.  One value per ring, which per-node
     coefficients on a grid of one azimuth also are, goes to
     kernels.per_ring_sum times (2j+1)/pi, so only the diagonals it reaches
     are scaled; per-node ones go to kernels.ring_projector_sum, whose
@@ -118,7 +120,7 @@ def _diagonal_operator(j: float, grid: SphereGrid | None, coefficients) -> np.nd
     """
     two_j = _check_two_j(j)
     if grid is None:
-        grid = sphere_grid(j)
+        grid = _default_grid(two_j)
     coeff = coefficients(grid)
     scale = (two_j + 1) / np.pi
     if np.size(coeff) == len(grid.rho):

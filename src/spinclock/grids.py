@@ -30,7 +30,10 @@ n = 2002, where they now agree with a 32-digit reference to 1e-14.
 Each rule is computed once per node count per process: a bounded LRU
 cache keeps the last few dozen (32 KB at n = 2002) as read-only arrays,
 from which sphere_grid derives its own writable radii and weights.  A
-node count below 1 raises on every call; the cache keeps no errors.
+node count below 1 raises on every call; the cache keeps no errors.  The
+operators built on the default grid read one more cache, of the last
+few default grids themselves with read-only arrays (_default_grid),
+which they never hand to their caller.
 
 The default azimuth count N is the largest 2^a 3^b 5^c <= 4j+4, a size
 whose FFT runs in mixed radix: 4j+4 itself has the prime factor 101 at
@@ -119,6 +122,19 @@ def sphere_grid(j: float, n_polar: int | None = None, n_azimuthal: int | None = 
     return SphereGrid(rho=np.sqrt((1.0 - u) / (1.0 + u)),
                       ring_weights=wu * (2.0 * np.pi / n_azimuthal) * 0.25,
                       n_azimuthal=n_azimuthal)
+
+
+@functools.lru_cache(maxsize=8)
+def _default_grid(two_j: int) -> SphereGrid:
+    """sphere_grid(two_j / 2) with read-only arrays, cached per 2j.
+
+    For the operators built on the default grid, which read it and never
+    hand it to their caller; sphere_grid itself returns new writable
+    arrays on every call.
+    """
+    grid = sphere_grid(two_j / 2)
+    grid.rho.flags.writeable = grid.ring_weights.flags.writeable = False
+    return grid
 
 
 @functools.lru_cache(maxsize=32)

@@ -24,9 +24,10 @@ with real a_n, so entry (n, n') of the sum is
 and the inner sum is column (n' - n) mod n_azimuthal of the azimuthal
 FFT of c on that ring.  Coefficients constant on each ring reach only
 column 0, so per_ring_sum runs no FFT and computes only the diagonals
-d = 0 mod n_azimuthal, each as one np.einsum over the rings of the
-products a_{i+d} a_i, written straight into the result, the rest being
-exactly zero.  For real per-node coefficients one
+d = 0 mod n_azimuthal, each as one two-operand np.einsum over the rings
+of the coefficients and the cached rows G_{2i+d} below, times the ratios
+R for d >= 2, written straight into the result, the rest being exactly
+zero.  For real per-node coefficients one
 np.fft.rfft per ring gives every column, and the kernel computes one
 triangle and mirrors it as its conjugate, so the result is exactly
 Hermitian.  Per-node coefficients cost O(n_polar (n_az log n_az + dim^2))
@@ -40,9 +41,9 @@ Per-node coefficients fill every diagonal by anti-diagonals.  Entry
     R_{l,u} = sqrt(C(2j,l) C(2j,u) / (C(2j,s//2) C(2j,s-s//2))),
 
 since the powers of rho and of 1+rho^2 are the same on both sides.  So
-one table of 4j+1 rows G_s serves every diagonal.  The rows of one parity
-p of s are formed at a time, row k = s//2 being a_k^2 for even s and
-a_k a_{k+1} for odd s, into one (dim, n_polar) buffer.  Entry (i, i+d) of
+one table of 4j+1 rows G_s serves every diagonal, cached per parity p of
+s, row k = s//2 being a_k^2 for even s and a_k a_{k+1} for odd s; the
+per-ring sums read the same rows.  Entry (i, i+d) of
 diagonal d = 2t + p is the ring sum of row k = i + t with the spectrum
 column of d, so the sums of one parity are the band t <= k <= 2j - p - t
 of one matrix product M_p = G_p C_p^T, where C_p holds the Re and Im of
@@ -68,8 +69,8 @@ packed triangle, and its conjugate, into the result: the main diagonal
 through a strided view, each off-diagonal triangle through one
 boolean-masked view of the result reshaped to (dim-1, dim+1), which lists
 its entries in the packed order.  The temporaries are n_polar x n_az and
-n_polar x dim, never npts x dim: the spectrum, its gathered columns, the
-buffer of G rows and the packed triangle.
+n_polar x dim, never npts x dim: the spectrum, its gathered columns and
+the packed triangle.
 
 The per-node tiles run in BLAS, yet their bytes do not depend on the
 BLAS thread count, since each call is kept small.  Measured with numpy's
@@ -84,22 +85,24 @@ do not depend on the thread count at any size.
 
 The ring sums do almost no subnormal arithmetic, which costs a microcode
 assist per operation on common x86 cores.  Ring amplitudes below
-2**-450 are set to 0.  Every a_n <= 1, so each kept G_s, or product of
-two kept amplitudes, is at least 2**-900, and its product with a
-spectrum entry c is normal unless |c| < 2**-122.  A term a_l a_u c_k is
-dropped only where a factor it is formed from (a_l or a_u for per-ring
-coefficients, a_{s//2} or a_{s-s//2} for per-node ones) is below 2**-450,
-and then a_l a_u < 2**-450 since a_l a_u <= G_s: no entry moves by more
-than 2**-450 sum_k |c_k|, far below the sum's own rounding bound
-eps sum_k |c_k|.
+2**-450 are set to 0.  Every a_n <= 1, so each kept G_s is at least
+2**-900, and its product with a coefficient or spectrum entry c is
+normal unless |c| < 2**-122.  A term a_l a_u c_k is dropped only where a
+factor of its G_s, a_{s//2} or a_{s-s//2} with s = l + u, is below
+2**-450, and then a_l a_u < 2**-450 since a_l a_u <= G_s: no entry
+moves by more than 2**-450 sum_k |c_k|, far below the sum's own rounding
+bound eps sum_k |c_k|.
 
-Every operator at spin j on one grid reads the same ring amplitudes, so
-each process computes them once: a bounded LRU cache keeps the flushed
-(2j+1, n_polar) table per ring radii (their bytes, so no grid reads
-another grid's table) and 2j, 8 (2j+1) n_polar bytes each (82 KB at
-j = 50, 32 MB at j = 1000 on the default grids), and another the table
-of R and the band index per 2j.  Both hand out read-only arrays; each
-operator is a new writable matrix.
+Every operator at spin j on one grid reads the same rows G_s, so each
+process computes them once: a bounded LRU cache (_ring_products) keeps
+the rows of one parity per ring radii (their bytes, so no grid reads
+another grid's rows), 2j and parity, about 8 (2j+1) n_polar bytes each
+(82 KB at j = 50, 32 MB at j = 1000 on the default grids).  The rows are
+formed in the flushed amplitude table itself, so a miss holds no second
+table.  The per-ring sums of the default grids read parity 0 alone, the
+per-node sums both.  Another cache keeps the table of R and the band
+index per 2j, which the per-ring sums read only for diagonals d >= 2.
+Both hand out read-only arrays; each operator is a new writable matrix.
 """
 
 import functools
@@ -210,19 +213,32 @@ def coherent_amplitudes(xi, two_j: int) -> np.ndarray:
     return np.multiply(_magnitudes(abs_and_square(xi)[0], two_j).T, phase, out=phase)
 
 
-@functools.lru_cache(maxsize=4)
-def _ring_amplitudes(rho: bytes, two_j: int) -> np.ndarray:
-    """Ring amplitudes a_n(rho_p) as a (2j+1, n_polar) array, those below 2**-450 set to 0.
+@functools.lru_cache(maxsize=8)
+def _ring_products(rho: bytes, two_j: int, parity: int) -> np.ndarray:
+    """The rows G_{2k+parity} = a_k a_{k+parity} of the ring amplitudes a_n(rho_p), a
+    (2j+1-parity, n_polar) array, with each amplitude below 2**-450 set to 0 first.
 
     rho holds the float64 bytes of the ring radii.  Every ring starts at
     azimuth 0, where the amplitudes are real (rho > 0 at every
-    Gauss-Legendre node).  Cached per radii and 2j; the array is read-only.
+    Gauss-Legendre node).  The rows are formed in the amplitude table
+    itself, so a miss holds no second table: squared in place for parity
+    0, and for parity 1 multiplied by the next row in blocks taken from
+    the top, each of which reads a row before it is overwritten.  Cached
+    per radii, 2j and parity; the array is read-only.
     """
-    amps = _magnitudes(np.frombuffer(rho), two_j)
+    g = _magnitudes(np.frombuffer(rho), two_j)
     # a_n <= 1, so a product of two kept amplitudes is at least 2**-900 (see the module docstring)
-    amps[amps < _FLUSH_BELOW] = 0.0
-    amps.flags.writeable = False
-    return amps
+    g[g < _FLUSH_BELOW] = 0.0
+    if parity:
+        # numpy copies the overlapping next rows of a block, at most _BLOCK_SIZE products
+        step = max(1, _BLOCK_SIZE // g.shape[1])
+        for top in range(0, two_j, step):
+            bottom = min(top + step, two_j)
+            np.multiply(g[top:bottom], g[top + 1:bottom + 1], out=g[top:bottom])
+    else:
+        np.square(g, out=g)
+    g.flags.writeable = False
+    return g[:two_j + 1 - parity]
 
 
 @functools.lru_cache(maxsize=4)
@@ -271,24 +287,34 @@ def per_ring_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     coeff holds one value per ring, the c_k of every node on it.
     Only the diagonals d = 0 mod n_azimuthal are non-zero, so a grid with
     n_azimuthal <= 2j still gives the aliased quadrature sum.  Entries
-    (i, i+d) and (i+d, i) are both sum_p a_{i+d} a_i n_az coeff[p], one
-    np.einsum per diagonal, which never calls BLAS.  For real coeff the
-    imaginary parts are +0.0, but -0.0 below the main diagonal on those
-    diagonals, the negated +0.0 of a real sum's conjugate; complex coeff
-    is summed as S(Re coeff) + i S(Im coeff).
+    (i, i+d) and (i+d, i) are both R_{i,i+d} sum_p G_{2i+d} n_az coeff[p],
+    one np.einsum per diagonal over the cached rows G of its parity, which
+    never calls BLAS, times the ratios R of _packed_tables for d >= 2
+    (R = 1 on d = 0 and 1, so the default grids never build that table).
+    For real coeff the imaginary parts are +0.0, but -0.0 below the main
+    diagonal on those diagonals, the negated +0.0 of a real sum's
+    conjugate; complex coeff is summed as S(Re coeff) + i S(Im coeff).
     """
     coeff = np.asarray(coeff)
     if np.iscomplexobj(coeff):
         return per_ring_sum(grid, coeff.real, two_j) + 1j * per_ring_sum(grid, coeff.imag, two_j)
     dim, n_az = two_j + 1, grid.n_azimuthal
-    amps = _ring_amplitudes(np.asarray(grid.rho, dtype=np.float64).tobytes(), two_j)
+    rho, diagonals = np.asarray(grid.rho, dtype=np.float64).tobytes(), range(0, dim, n_az)
+    # the tables are looked up before the result is allocated, so that a miss builds them
+    # while the heap holds no more than the coefficients
+    rows_of = {d % 2: _ring_products(rho, two_j, d % 2) for d in diagonals[:2]}
+    ratios = _packed_tables(two_j)[0] if diagonals[-1] >= 2 else None
     col = n_az * coeff
     out = np.zeros((dim, dim), dtype=np.complex128)
     out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
-    for d in range(0, dim, n_az):
+    for d in diagonals:
+        # G_{2i+d} is row i + d // 2 of parity d % 2
+        vals = np.einsum("ip,p->i", rows_of[d % 2][d // 2:][:dim - d], col)
+        if d >= 2:
+            offset = d * dim - d * (d - 1) // 2
+            vals *= ratios[offset:offset + dim - d]
         # entry i of each: (i, i+d) above the diagonal, (i+d, i) below it
-        out_re[d:(dim - d) * dim:dim + 1] = out_re[d * dim::dim + 1] = np.einsum(
-            "ip,ip,p->i", amps[d:], amps[:dim - d], col)
+        out_re[d:(dim - d) * dim:dim + 1] = out_re[d * dim::dim + 1] = vals
         if d:
             out_im[d * dim::dim + 1] = -0.0
     return out
@@ -318,9 +344,10 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
                 + 1j * ring_projector_sum(grid, coeff.imag, two_j))
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
     coeff = coeff.reshape(n_polar, n_az)
-    amps = _ring_amplitudes(np.asarray(grid.rho, dtype=np.float64).tobytes(), two_j)
+    rho = np.asarray(grid.rho, dtype=np.float64).tobytes()
     # a first call at this 2j builds the tables here, while the heap holds no more than
     # the coefficients: built after the tiles, they left the process 0.4 MiB larger at j = 100
+    rows_of = [_ring_products(rho, two_j, parity) for parity in (0, 1)]
     ratios, index = _packed_tables(two_j)
     # spectrum[p, q] = sum_a coeff[p, a] e^{-2 pi i q a / n_az} for q <= n_az // 2;
     # column n_az - q is its conjugate because coeff is real
@@ -336,17 +363,16 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     np.negative(cols[:, 1], out=cols[:, 1], where=mirrored[:, None])
     del spectrum
     width, rows = _tile(n_polar)
-    half = np.empty((dim, n_polar))
     out = np.empty((dim, dim), dtype=np.complex128)
     # M_p[k, t] = Re + i Im of G_{2k+p} summed with the column of d = 2t + p, in the result's
-    # own buffer, M_1 after M_0, so the tiles hold no more than cols, half and the result.
+    # own buffer, M_1 after M_0, so the tiles hold no more than cols and the result.
     # A result allocated after them instead sat on top of the heap, and freeing it later
     # trimmed the heap (about 0.2 ms)
     flat, n_even = out.reshape(-1).view(np.float64), (dim + 1) // 2
     for parity in (0, 1):
         n_rows, n_diag = dim - parity, (dim + 1 - parity) // 2
         # row k of g is G_{2k+parity}: a_k^2 for even s, a_k a_{k+1} for odd s
-        g = np.multiply(amps[:n_rows], amps[parity:], out=half[:n_rows])
+        g = rows_of[parity]
         c = cols[parity * n_even:][:n_diag].reshape(2 * n_diag, n_polar)
         band = flat[parity * 2 * dim * n_even:][:2 * n_rows * n_diag].reshape(n_rows, 2 * n_diag)
         # diagonal d = 2t + parity needs rows t <= k < n_rows - t; tiles of width diagonals
@@ -360,7 +386,7 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
                 top, bottom = left + height * b // blocks, left + height * (b + 1) // blocks
                 np.matmul(g[top:bottom], c[2 * left:2 * right].T,
                           out=band[top:bottom, 2 * left:2 * right])
-    del cols, half, c, g
+    del cols, c
     vals = out.reshape(-1).take(index)
     np.multiply(vals.real, ratios, out=vals.real)
     np.multiply(vals.imag, ratios, out=vals.imag)

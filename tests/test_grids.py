@@ -73,6 +73,34 @@ def test_sphere_grid_arrays_are_writable_and_repeat_their_bytes():
     assert grids.sphere_grid(7.5).rho.tobytes() == second.rho.tobytes()
 
 
+def test_default_grid_is_cached_read_only_with_the_public_bytes():
+    # the operators read one cached default grid per 2j; sphere_grid(j) still builds new
+    # writable arrays with the same bytes, also after the cached grid exists
+    cached = grids._default_grid(15)
+    assert grids._default_grid(15) is cached
+    public = grids.sphere_grid(7.5)
+    assert public.n_azimuthal == cached.n_azimuthal
+    for a, b in ((cached.rho, public.rho), (cached.ring_weights, public.ring_weights)):
+        assert a.tobytes() == b.tobytes() and a is not b
+        assert b.flags.writeable and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    public.rho[:] = 0.0
+    assert grids._default_grid(15).rho.tobytes() == grids.sphere_grid(7.5).rho.tobytes()
+    misses = grids._default_grid.cache_info().misses
+    coherent.resolution_of_unity(7.5)
+    symbols.reconstruct_operator(np.abs, 7.5)
+    assert grids._default_grid.cache_info().misses == misses
+
+
+def test_default_grid_cache_stays_within_its_size():
+    size = grids._default_grid.cache_info().maxsize
+    assert size is not None
+    for two_j in range(size + 3):
+        coherent.resolution_of_unity(two_j / 2)
+    assert grids._default_grid.cache_info().currsize == size
+
+
 def _five_smooth(n):
     for p in (2, 3, 5):
         while n % p == 0:

@@ -135,11 +135,12 @@ def _reference_ring_sum(grid, coeff, two_j, per_ring=False):
     """The ring sum entry by entry, with no gathered columns, packed triangle or mirror.
 
     Real coeff only; summed in the order the kernels sum, on amplitudes below 2**-450 set
-    to 0.  Per-ring coefficients (per_ring_sum) by the kernel's einsum of the products
-    a_{n+d} a_n, diagonal by diagonal.  Per-node ones (ring_projector_sum) by the kernel's
-    tile products of the rows G_s = a_{s//2} a_{s-s//2} with the spectrum columns of each
-    parity, whose band entries a scalar loop then multiplies by R and writes into the
-    matrix, with their conjugates."""
+    to 0, through the rows G_s = a_{s//2} a_{s-s//2} and the ratios R.  Per-ring
+    coefficients (per_ring_sum) by the kernel's einsum of the rows G_{2i+d} with the
+    coefficients, diagonal by diagonal, times R for d >= 2.  Per-node ones
+    (ring_projector_sum) by the kernel's tile products of the rows G_s with the spectrum
+    columns of each parity, whose band entries a scalar loop then multiplies by R and
+    writes into the matrix, with their conjugates."""
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
     coeff = coeff.reshape(n_polar, -1)
     spectrum = n_az * coeff if per_ring else np.fft.rfft(coeff, axis=1)
@@ -151,8 +152,8 @@ def _reference_ring_sum(grid, coeff, two_j, per_ring=False):
         return spectrum[:, q] if q <= n_az // 2 else spectrum[:, n_az - q].conj()
 
     out = np.zeros((dim, dim), dtype=np.complex128)
+    ratios = _reference_binomial_ratios(two_j)
     if not per_ring:
-        ratios = _reference_binomial_ratios(two_j)
         width, rows = kernels._tile(n_polar)
         for parity in (0, 1):
             # row k of g is G_{2k+parity}; rows 2t and 2t+1 of c are Re and Im of column
@@ -180,7 +181,11 @@ def _reference_ring_sum(grid, coeff, two_j, per_ring=False):
         return out
     out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
     for d in range(0, dim, n_az):
-        upper = np.einsum("ip,ip,p->i", amps[d:], amps[:dim - d], column(d).real)
+        # entry (i, i+d) is R_{i,i+d} G_{2i+d}, G_{2i+d} = a_{i+d//2} a_{i+d-d//2}
+        g = amps[d // 2:][:dim - d] * amps[d - d // 2:][:dim - d]
+        upper = np.einsum("ip,p->i", g, column(d).real)
+        if d >= 2:
+            upper = upper * ratios[d]
         above = slice(d, (dim - d) * dim, dim + 1)
         below = slice(d * dim, None, dim + 1)
         out_re[below] = out_re[above] = upper
@@ -334,28 +339,71 @@ def test_operators_independent_of_blas_thread_count():
 
 @pytest.mark.parametrize("two_j", [200, 400])
 def test_ring_amplitudes_match_mpmath(two_j):
-    # a_n = prod_k f_k / sqrt(sum_n a_n^2), the product over the |n - m| steps from the
-    # ring's mode m.  Each step is four correctly rounded operations (a quotient, its sqrt,
-    # the product with rho and the cumprod's), at most 3.5 u with u = eps / 2, and the
-    # norm adds about 2 u.  An amplitude above 1e-3 lies within 5.3 sigma of the mode,
+    # the cached rows G_{2k+p} = a_k a_{k+p} against 40-digit mpmath products.  Each a_n is
+    # prod_k f_k / sqrt(sum_n a_n^2), the product over the |n - m| steps from the ring's
+    # mode m.  Each step is four correctly rounded operations (a quotient, its sqrt, the
+    # product with rho and the cumprod's), at most 3.5 u with u = eps / 2, and the norm
+    # adds about 2 u.  An amplitude above 1e-3 lies within 5.3 sigma of the mode,
     # sigma^2 = 2j rho^2 / (1+rho^2)^2 <= j/2: at most 37 steps at 2j = 200 and 53 at
     # 2j = 400.  The roundings are independent with mean 0 and rms at most 1.04 u a step,
-    # so the error's rms is at most 0.52 eps sqrt(53) = 3.8 eps at either spin: it does
-    # not grow with j as the cancelling log sum's 12 (2j+1) eps did.  The bound 10 eps is
-    # 2.6 of that rms; over every ring the worst amplitude above 1e-3 is 7.4 eps off at
-    # 2j = 200 and 8.3 eps at 2j = 400 (796 and 2111 eps with the log sum)
+    # so an amplitude's rms error is at most 0.52 eps sqrt(53) = 3.8 eps at either spin:
+    # it does not grow with j as the cancelling log sum's 12 (2j+1) eps did, and 10 eps,
+    # 2.6 of that rms, bounds it (7.4 eps at 2j = 200 and 8.3 eps at 2j = 400 over every
+    # ring; 796 and 2111 eps with the log sum).  A row entry of two such factors is off by
+    # at most the sum of their errors and its own rounding, 10 + 10 + 0.5 = 20.5 eps; over
+    # every ring the worst entry whose factors are above 1e-3 is 15.0 eps off at 2j = 200
+    # and 16.4 eps at 2j = 400
     grid = sphere_grid(two_j / 2)
-    amps = kernels._ring_amplitudes(grid.rho.tobytes(), two_j)
+    rows = [kernels._ring_products(grid.rho.tobytes(), two_j, p) for p in (0, 1)]
+    amps = kernels._magnitudes(grid.rho, two_j)
     worst = 0.0
-    with mpmath.workdps(30):
+    with mpmath.workdps(40):
         half_log_binomial = [mpmath.log(mpmath.binomial(two_j, n)) / 2 for n in range(two_j + 1)]
         for p, rho in enumerate(grid.rho.tolist()):
             rho = mpmath.mpf(rho)
             log_rho, log_norm = mpmath.log(rho), -two_j * mpmath.log1p(rho * rho) / 2
-            for n in np.flatnonzero(amps[:, p] > 1e-3).tolist():
-                exact = mpmath.exp(half_log_binomial[n] + n * log_rho + log_norm)
-                worst = max(worst, abs(float((amps[n, p] - exact) / exact)))
-    assert worst <= 10 * np.finfo(float).eps
+            exact = {n: mpmath.exp(half_log_binomial[n] + n * log_rho + log_norm)
+                     for n in np.flatnonzero(amps[:, p] > 1e-3).tolist()}
+            for parity, row in enumerate(rows):
+                for k in exact:
+                    if k + parity in exact:
+                        want = exact[k] * exact[k + parity]
+                        worst = max(worst, abs(float((row[k, p] - want) / want)))
+    assert worst <= 20.5 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("two_j", [20, 200, 400])
+@pytest.mark.parametrize("n_azimuthal", [1, 2, 3, 5])
+def test_per_ring_sum_matches_unflushed_dense_sum(two_j, n_azimuthal):
+    # an oracle apart from the kernel's order: the dense sum over the nodes of every
+    # amplitude, however small, against the large-spin test's bound 4 eps sum_k |c_k|,
+    # n_az sum_p |c_p| for one value per ring.  Grids of n_az <= 2j alias diagonal
+    # d = n_az, 2 n_az, .. onto column 0, so every parity of G and the ratios R for
+    # d >= 2 enter; the worst of these cases measured 0.26 of the bound
+    grid = sphere_grid(two_j / 2, n_azimuthal=n_azimuthal)
+    vecs = kernels.coherent_amplitudes(grid.xi, two_j)
+    rng = np.random.default_rng(two_j + n_azimuthal)
+    coeff = grid.ring_weights * rng.uniform(-1.0, 2.0, len(grid.rho))
+    direct = vecs.T @ (np.repeat(coeff, n_azimuthal)[:, None] * vecs.conj())
+    got = kernels.per_ring_sum(grid, coeff, two_j)
+    assert np.max(np.abs(got - direct)) <= 4 * np.finfo(float).eps * n_azimuthal * np.sum(np.abs(coeff))
+
+
+def test_cold_resolution_of_unity_holds_one_table_of_rows():
+    # the cold traced peak of resolution_of_unity(300) in a fresh process: the rows of
+    # parity 0 are squared in the amplitude table itself, and looked up before the result
+    # is allocated.  Before the cached rows it peaked at 8720383 B (8.32 MiB), and with the
+    # rows built after the result was allocated at 11.5 MiB.  The bound is 8.32 MiB
+    # rounded up to 8.4 MiB
+    code = ("import tracemalloc\n"
+            "from spinclock import coherent\n"
+            "tracemalloc.start()\n"
+            "coherent.resolution_of_unity(300)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    peak = int(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout)
+    assert peak <= 8.4 * 2 ** 20
 
 
 def test_ring_sum_matches_mpmath_dense_sum_at_large_spin():
@@ -449,8 +497,8 @@ def test_log_factorials_match_mpmath():
 
 def test_cached_arrays_are_read_only():
     grid = sphere_grid(4.5)
-    for a in (kernels._ring_amplitudes(grid.rho.tobytes(), 9), *kernels._packed_tables(9),
-              clock._beta_band(9, 0.5)):
+    for a in (*(kernels._ring_products(grid.rho.tobytes(), 9, p) for p in (0, 1)),
+              *kernels._packed_tables(9), clock._beta_band(9, 0.5)):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
@@ -477,18 +525,18 @@ def test_grid_with_other_radii_reads_its_own_amplitudes():
              SphereGrid(rho=1.5 * default.rho, ring_weights=default.ring_weights,
                         n_azimuthal=default.n_azimuthal))
     for _ in range(2):
-        misses = kernels._ring_amplitudes.cache_info().misses
+        misses = kernels._ring_products.cache_info().misses
         for grid in grids:
             want = ((2 * j + 1) / np.pi) * _reference_ring_sum(grid, grid.weights * sym(grid.xi),
                                                                2 * j)
             assert symbols.reconstruct_operator(sym, j, grid).tobytes() == want.tobytes()
-    # the second round found all three tables cached
-    assert kernels._ring_amplitudes.cache_info().misses == misses
+    # the second round found the rows of both parities of all three grids cached
+    assert kernels._ring_products.cache_info().misses == misses
 
 
 def test_ring_amplitude_cache_stays_within_its_size():
-    size = kernels._ring_amplitudes.cache_info().maxsize
+    size = kernels._ring_products.cache_info().maxsize
     assert size is not None
     for n_polar in range(2, size + 5):
         coherent.resolution_of_unity(2.5, sphere_grid(2.5, n_polar=n_polar))
-    assert kernels._ring_amplitudes.cache_info().currsize == size
+    assert kernels._ring_products.cache_info().currsize == size
