@@ -52,7 +52,7 @@ import numpy as np
 
 from . import classical, kernels
 from .errors import ChartSingularityError
-from .grids import _check_m, _check_two_j
+from .grids import _check_m, _check_scales, _check_two_j
 from .symbols import FullLowerSymbol, ReducedLowerSymbol, _reduction
 
 
@@ -90,13 +90,6 @@ def _slice_angle(tau: float, phi_prime: float, omega: float) -> float:
         raise ValueError(f"the clock slice angle omega*tau + phi' is not finite at "
                          f"tau={tau!r}, omega={omega!r}, phi_prime={phi_prime!r}")
     return theta
-
-
-def _check_scales(**scales):
-    """ValueError naming the first of scales (omega, hbar) that is not finite and > 0."""
-    for name, value in scales.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {name}={value!r}")
 
 
 def slice_amplitude(m: int) -> float:

@@ -112,18 +112,19 @@ def _diagonal_operator(j: float, grid: SphereGrid | None, coefficients) -> np.nd
     arrays, which only coefficients(grid) sees.  coefficients(grid)
     returns the c_k w_k, one per node, or one per ring where they are
     constant on each ring; whatever it builds on the way is freed before
-    the ring sum runs.  One value per ring, which per-node
-    coefficients on a grid of one azimuth also are, goes to
-    kernels.per_ring_sum times (2j+1)/pi, so only the diagonals it reaches
-    are scaled; per-node ones go to kernels.ring_projector_sum, whose
-    result is scaled as a whole.
+    the ring sum runs.  This is the one place that picks a kernel: one
+    value per ring on a grid of n_az > 2j reaches only the main diagonal
+    and goes to kernels.per_ring_sum times (2j+1)/pi; everything else,
+    one value per ring on an aliased grid (n_az <= 2j) and per-node
+    coefficients, which on a grid of one azimuth are also one per ring,
+    goes to kernels.ring_projector_sum, whose result is scaled as a whole.
     """
     two_j = _check_two_j(j)
     if grid is None:
         grid = _default_grid(two_j)
     coeff = coefficients(grid)
     scale = (two_j + 1) / np.pi
-    if np.size(coeff) == len(grid.rho):
+    if np.size(coeff) == len(grid.rho) and grid.n_azimuthal > two_j:
         return kernels.per_ring_sum(grid, scale * np.ravel(coeff), two_j)
     out = kernels.ring_projector_sum(grid, coeff, two_j)
     out *= scale
@@ -134,13 +135,16 @@ def radial_weight(r, m: int):
     """Normalized constraint-direction weight e^{-r} r^{m+1} / (m+1)!.
 
     Integrates to 1 over r in [0, inf) and peaks at r = m+1, the quantum
-    image of the classical constraint surface.  ValueError for m < 0.
+    image of the classical constraint surface; 0 at r <= 0 and r = inf.
+    ValueError for m < 0.
     """
     _check_m(m)
     r = np.asarray(r, dtype=float)
     lg = math.lgamma(m + 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(r > 0, np.exp((m + 1) * np.log(np.where(r > 0, r, 1.0)) - r - lg), 0.0)
+    # the limits 0 at r = 0 and r = inf, where the log form would read log 0 and inf - inf
+    inside = (r > 0) & (r < np.inf)
+    r_in = np.where(inside, r, 1.0)
+    out = np.where(inside, np.exp((m + 1) * np.log(r_in) - r_in - lg), 0.0)
     if out.ndim == 0:
         return float(out)
     return out

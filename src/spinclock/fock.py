@@ -7,9 +7,12 @@ operators are the Schwinger bilinears restricted to that block:
     S1 = (a'b + ab')/2,  S2 = (a'b - ab')/2i,  S3 = (a'a - b'b)/2.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NullPhysicalSubspaceError
+from .grids import _check_scales
 
 
 def constraint_eigencheck(E: float, omega: float = 1.0, hbar: float = 1.0) -> int:
@@ -17,11 +20,17 @@ def constraint_eigencheck(E: float, omega: float = 1.0, hbar: float = 1.0) -> in
 
     Raises NullPhysicalSubspaceError (carrying the residual) when E' is
     not within 1e-9 of an integer, in which case the projection of any
-    state is null.
+    state is null.  ValueError, naming the argument, for E <= 0 and for an
+    E, omega or hbar that is not finite and > 0, or an E' that overflows.
     """
     if E <= 0:
         raise ValueError("E must be positive")
-    e_prime = E / (omega * hbar) - 1.0
+    _check_scales(E=E, omega=omega, hbar=hbar)
+    # omega hbar may underflow to 0, and E / (omega hbar) overflow to inf
+    e_prime = E / (omega * hbar) - 1.0 if omega * hbar else math.inf
+    if e_prime == math.inf:
+        raise ValueError(f"E' = E/(omega hbar) - 1 is not finite at E={E!r}, omega={omega!r}, "
+                         f"hbar={hbar!r}")
     m_prime = round(e_prime)
     residual = abs(e_prime - m_prime)
     if residual >= 1e-9 or m_prime < 0:

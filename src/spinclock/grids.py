@@ -169,6 +169,13 @@ def _check_m(m: int):
         raise ValueError(f"the quanta m must be nonnegative, got m={m}")
 
 
+def _check_scales(**scales):
+    """ValueError naming the first of scales (E, omega, hbar) that is not finite and > 0."""
+    for name, value in scales.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {name}={value!r}")
+
+
 def _check_two_j(j: float) -> int:
     """The integer 2j of spin j; ValueError unless it is a nonnegative integer."""
     # a finite j above 9e307 doubles to inf, which no integer 2j matches

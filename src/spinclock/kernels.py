@@ -23,16 +23,17 @@ with real a_n, so entry (n, n') of the sum is
 
 and the inner sum is column (n' - n) mod n_azimuthal of the azimuthal
 FFT of c on that ring.  Coefficients constant on each ring reach only
-column 0, so per_ring_sum runs no FFT and computes only the diagonals
-d = 0 mod n_azimuthal, each as one two-operand np.einsum over the rings
-of the coefficients and the cached rows G_{2i+d} below, times the ratios
-R for d >= 2, written straight into the result, the rest being exactly
-zero.  For real per-node coefficients one
-np.fft.rfft per ring gives every column, and the kernel computes one
+column 0, and on a grid of n_azimuthal > 2j that column reaches only the
+main diagonal: per_ring_sum runs no FFT and computes it as one
+two-operand np.einsum over the rings of the coefficients and the cached
+rows G_{2i} below, the rest being exactly zero.  Every other sum goes to
+ring_projector_sum: for real per-node coefficients one np.fft.rfft per
+ring gives every column, for one value per ring on an aliased grid
+(n_azimuthal <= 2j) column 0 alone is built, and the kernel computes one
 triangle and mirrors it as its conjugate, so the result is exactly
-Hermitian.  Per-node coefficients cost O(n_polar (n_az log n_az + dim^2))
-against O(npts dim^2) for the dense sum over the nodes, per-ring ones
-O(n_polar dim) if n_az > 2j.
+Hermitian.  That costs O(n_polar (n_az log n_az + dim^2)) against
+O(npts dim^2) for the dense sum over the nodes; the main diagonal alone
+O(n_polar dim).
 
 Per-node coefficients fill every diagonal by anti-diagonals.  Entry
 (l, u) of the triangle, l <= u, has s = l + u, and at every rho
@@ -43,7 +44,7 @@ Per-node coefficients fill every diagonal by anti-diagonals.  Entry
 since the powers of rho and of 1+rho^2 are the same on both sides.  So
 one table of 4j+1 rows G_s serves every diagonal, cached per parity p of
 s, row k = s//2 being a_k^2 for even s and a_k a_{k+1} for odd s; the
-per-ring sums read the same rows.  Entry (i, i+d) of
+per-ring sums read the rows of parity 0.  Entry (i, i+d) of
 diagonal d = 2t + p is the ring sum of row k = i + t with the spectrum
 column of d, so the sums of one parity are the band t <= k <= 2j - p - t
 of one matrix product M_p = G_p C_p^T, where C_p holds the Re and Im of
@@ -81,7 +82,8 @@ numpy runs a product of one row as a gemv, which OpenBLAS splits over
 threads at sizes where it runs a gemm on one (a 1 x 4096 row times a
 4096 x 64 matrix ran on two), so no tile block is one row where dim > 2.
 The per-ring sums run in einsum, which never calls BLAS, so their bytes
-do not depend on the thread count at any size.
+do not depend on the thread count at any size; aliased per-ring sums run
+in the per-node tiles.
 
 The ring sums do almost no subnormal arithmetic, which costs a microcode
 assist per operation on common x86 cores.  Ring amplitudes below
@@ -99,10 +101,10 @@ the rows of one parity per ring radii (their bytes, so no grid reads
 another grid's rows), 2j and parity, about 8 (2j+1) n_polar bytes each
 (82 KB at j = 50, 32 MB at j = 1000 on the default grids).  The rows are
 formed in the flushed amplitude table itself, so a miss holds no second
-table.  The per-ring sums of the default grids read parity 0 alone, the
-per-node sums both.  Another cache keeps the table of R and the band
-index per 2j, which the per-ring sums read only for diagonals d >= 2.
-Both hand out read-only arrays; each operator is a new writable matrix.
+table.  The per-ring sums read parity 0 alone, the per-node sums both.
+Another cache keeps the table of R and the band index per 2j, which only
+ring_projector_sum reads.  Both hand out read-only arrays; each operator
+is a new writable matrix.
 """
 
 import functools
@@ -243,7 +245,8 @@ def _ring_products(rho: bytes, two_j: int, parity: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _packed_tables(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ratios R and the band index of the packed triangle of ring_projector_sum.
+    """The ratios R and the band index of the packed triangle of ring_projector_sum, its
+    only reader.
 
     Entry k = d dim - d (d-1)/2 + i of each belongs to entry (i, i+d).
     ratios[k] = sqrt(C(2j,i) C(2j,i+d) / (C(2j,s//2) C(2j,s-s//2))),
@@ -282,50 +285,34 @@ def _packed_tables(two_j: int) -> tuple[np.ndarray, np.ndarray]:
 
 def per_ring_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     """sum_k c_k |xi_k><xi_k| over the nodes of grid for c_k constant on each ring, a dense
-    (2j+1, 2j+1) matrix.
+    (2j+1, 2j+1) matrix, on a grid of n_azimuthal > 2j.
 
-    coeff holds one value per ring, the c_k of every node on it.
-    Only the diagonals d = 0 mod n_azimuthal are non-zero, so a grid with
-    n_azimuthal <= 2j still gives the aliased quadrature sum.  Entries
-    (i, i+d) and (i+d, i) are both R_{i,i+d} sum_p G_{2i+d} n_az coeff[p],
-    one np.einsum per diagonal over the cached rows G of its parity, which
-    never calls BLAS, times the ratios R of _packed_tables for d >= 2
-    (R = 1 on d = 0 and 1, so the default grids never build that table).
-    For real coeff the imaginary parts are +0.0, but -0.0 below the main
-    diagonal on those diagonals, the negated +0.0 of a real sum's
-    conjugate; complex coeff is summed as S(Re coeff) + i S(Im coeff).
+    coeff holds one value per ring, the c_k of every node on it.  It
+    reaches only column 0 of each ring's spectrum, n_az coeff[p], and on
+    such a grid that column reaches only the main diagonal: entry (i, i)
+    is sum_p G_{2i} n_az coeff[p], one np.einsum over the cached rows of
+    parity 0, which never calls BLAS.  Every other entry is exactly zero;
+    complex coeff gives a complex diagonal.  coherent._diagonal_operator
+    sends one value per ring on an aliased grid to ring_projector_sum.
     """
-    coeff = np.asarray(coeff)
-    if np.iscomplexobj(coeff):
-        return per_ring_sum(grid, coeff.real, two_j) + 1j * per_ring_sum(grid, coeff.imag, two_j)
-    dim, n_az = two_j + 1, grid.n_azimuthal
-    rho, diagonals = np.asarray(grid.rho, dtype=np.float64).tobytes(), range(0, dim, n_az)
-    # the tables are looked up before the result is allocated, so that a miss builds them
+    dim = two_j + 1
+    # the rows are looked up before the result is allocated, so that a miss builds them
     # while the heap holds no more than the coefficients
-    rows_of = {d % 2: _ring_products(rho, two_j, d % 2) for d in diagonals[:2]}
-    ratios = _packed_tables(two_j)[0] if diagonals[-1] >= 2 else None
-    col = n_az * coeff
+    rows = _ring_products(np.asarray(grid.rho, dtype=np.float64).tobytes(), two_j, 0)
     out = np.zeros((dim, dim), dtype=np.complex128)
-    out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
-    for d in diagonals:
-        # G_{2i+d} is row i + d // 2 of parity d % 2
-        vals = np.einsum("ip,p->i", rows_of[d % 2][d // 2:][:dim - d], col)
-        if d >= 2:
-            offset = d * dim - d * (d - 1) // 2
-            vals *= ratios[offset:offset + dim - d]
-        # entry i of each: (i, i+d) above the diagonal, (i+d, i) below it
-        out_re[d:(dim - d) * dim:dim + 1] = out_re[d * dim::dim + 1] = vals
-        if d:
-            out_im[d * dim::dim + 1] = -0.0
+    out.reshape(-1)[::dim + 1] = np.einsum("ip,p->i", rows, grid.n_azimuthal * np.asarray(coeff))
     return out
 
 
 def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     """sum_k coeff[k] |xi_k><xi_k| over the nodes of grid, a dense (2j+1, 2j+1) matrix.
 
-    coeff holds one value per grid node in the grid's order (per_ring_sum
-    takes coefficients constant on each ring).  Every diagonal is filled
-    by anti-diagonals: the ring sums of G_s = a_{s//2} a_{s-s//2} with
+    coeff holds one value per grid node in the grid's order, or one per
+    ring for coefficients constant on each ring, which reach spectrum
+    column 0 alone: that column is built as n_az coeff, with every other
+    column exactly zero, where the rfft of repeated rows would leave
+    roundings of about 1e-17 in them.  Every diagonal is filled by
+    anti-diagonals: the ring sums of G_s = a_{s//2} a_{s-s//2} with
     every spectrum column are, per parity of s, one band of a matrix
     product, computed in tiles, then gathered into a packed upper
     triangle, multiplied once by the ratios of _packed_tables, and one
@@ -343,7 +330,6 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
         return (ring_projector_sum(grid, coeff.real, two_j)
                 + 1j * ring_projector_sum(grid, coeff.imag, two_j))
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
-    coeff = coeff.reshape(n_polar, n_az)
     rho = np.asarray(grid.rho, dtype=np.float64).tobytes()
     # a first call at this 2j builds the tables here, while the heap holds no more than
     # the coefficients: built after the tiles, they left the process 0.4 MiB larger at j = 100
@@ -351,7 +337,11 @@ def ring_projector_sum(grid: SphereGrid, coeff, two_j: int) -> np.ndarray:
     ratios, index = _packed_tables(two_j)
     # spectrum[p, q] = sum_a coeff[p, a] e^{-2 pi i q a / n_az} for q <= n_az // 2;
     # column n_az - q is its conjugate because coeff is real
-    spectrum = np.fft.rfft(coeff, axis=1)
+    if coeff.size == n_polar:
+        spectrum = np.zeros((n_polar, n_az // 2 + 1))
+        spectrum[:, 0] = n_az * coeff.ravel()
+    else:
+        spectrum = np.fft.rfft(coeff.reshape(n_polar, n_az), axis=1)
     # cols[t] holds Re and Im over the rings of column q = d mod n_az of the t-th diagonal
     # in the order d = 0, 2, 4, .., 1, 3, 5, ..: each parity's columns are one contiguous block
     q = np.concatenate((np.arange(0, dim, 2), np.arange(1, dim, 2))) % n_az

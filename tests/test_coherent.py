@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -296,6 +297,17 @@ def test_radial_weight_normalized():
         mass, err = mpmath.quad(lambda r: coherent.radial_weight(float(r), m),
                                 [0, m + 1, mpmath.inf], error=True)
         assert float(mass) == pytest.approx(1.0, abs=max(float(err), 1e-10))
+
+
+def test_radial_weight_is_zero_at_infinity():
+    # the limit r -> inf, where the log form reads inf - inf; also inside arrays, and
+    # with no RuntimeWarning, as verify runs under -W error
+    assert coherent.radial_weight(math.inf, 3) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = coherent.radial_weight([1.0, math.inf, 1e308, 0.0], 3)
+    assert got[1:].tolist() == [0.0, 0.0, 0.0]
+    assert got[0] == pytest.approx(math.exp(-1.0) / 24, rel=1e-15)
 
 
 def test_radial_weight_peak_location():

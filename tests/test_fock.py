@@ -33,6 +33,27 @@ def test_constraint_eigencheck_rejects_nonpositive_energy(energy):
         fock.constraint_eigencheck(energy)
 
 
+@pytest.mark.parametrize("args,name", [
+    ((np.inf,), "E"),
+    ((np.nan,), "E"),
+    ((3.0, 0.0), "omega"),
+    ((3.0, 1.0, 0.0), "hbar"),
+    ((3.0, np.inf), "omega"),
+    ((3.0, -2.0), "omega"),
+], ids=["E-inf", "E-nan", "omega-zero", "hbar-zero", "omega-inf", "omega-negative"])
+def test_constraint_eigencheck_rejects_bad_scales(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {name}="):
+        fock.constraint_eigencheck(*args)
+
+
+def test_constraint_eigencheck_rejects_overflowing_energy_ratio():
+    # omega hbar underflows to 0 and E/(omega hbar) overflows: no ZeroDivisionError or
+    # OverflowError, but a ValueError that names the arguments
+    for omega, hbar in ((1e-200, 1e-200), (1e-300, 1.0)):
+        with pytest.raises(ValueError, match="not finite at E=1e.300, omega="):
+            fock.constraint_eigencheck(1e300, omega, hbar)
+
+
 def test_constraint_eigencheck_units():
     # E = 6, omega = 2, hbar = 1 -> E' = 2
     assert fock.constraint_eigencheck(6.0, omega=2.0) == 2

@@ -134,62 +134,68 @@ def _reference_binomial_ratios(two_j):
 def _reference_ring_sum(grid, coeff, two_j, per_ring=False):
     """The ring sum entry by entry, with no gathered columns, packed triangle or mirror.
 
-    Real coeff only; summed in the order the kernels sum, on amplitudes below 2**-450 set
-    to 0, through the rows G_s = a_{s//2} a_{s-s//2} and the ratios R.  Per-ring
-    coefficients (per_ring_sum) by the kernel's einsum of the rows G_{2i+d} with the
-    coefficients, diagonal by diagonal, times R for d >= 2.  Per-node ones
-    (ring_projector_sum) by the kernel's tile products of the rows G_s with the spectrum
+    Real coeff only, one value per node or one per ring; summed in the order the kernels
+    sum, on amplitudes below 2**-450 set to 0, through the rows G_s = a_{s//2} a_{s-s//2}
+    and the ratios R.  per_ring models per_ring_sum, on a grid of n_az > 2j: the main
+    diagonal alone, the kernel's einsum of the rows G_{2i} with n_az coeff.  Otherwise
+    ring_projector_sum: the kernel's tile products of the rows G_s with the spectrum
     columns of each parity, whose band entries a scalar loop then multiplies by R and
-    writes into the matrix, with their conjugates."""
+    writes into the matrix, with their conjugates.  One value per ring reaches spectrum
+    column 0 alone, as n_az coeff; per-node values are the rfft of each ring."""
     dim, n_az, n_polar = two_j + 1, grid.n_azimuthal, len(grid.rho)
-    coeff = coeff.reshape(n_polar, -1)
-    spectrum = n_az * coeff if per_ring else np.fft.rfft(coeff, axis=1)
     amps = kernels._magnitudes(grid.rho, two_j)
     amps = np.where(amps < 2.0 ** -450, 0.0, amps)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    if per_ring:
+        assert n_az > two_j
+        out.real.reshape(-1)[::dim + 1] = np.einsum("ip,p->i", amps * amps, n_az * coeff)
+        return out
+    if coeff.size == n_polar:
+        spectrum = np.zeros((n_polar, n_az // 2 + 1))
+        spectrum[:, 0] = n_az * coeff
+    else:
+        spectrum = np.fft.rfft(coeff.reshape(n_polar, n_az), axis=1)
 
     def column(d):
         q = d % n_az
         return spectrum[:, q] if q <= n_az // 2 else spectrum[:, n_az - q].conj()
 
-    out = np.zeros((dim, dim), dtype=np.complex128)
     ratios = _reference_binomial_ratios(two_j)
-    if not per_ring:
-        width, rows = kernels._tile(n_polar)
-        for parity in (0, 1):
-            # row k of g is G_{2k+parity}; rows 2t and 2t+1 of c are Re and Im of column
-            # d = 2t + parity, whose entries (i, i+d) are the sums of rows k = i + t
-            g = amps[:dim - parity] * amps[parity:]
-            diags = range(parity, dim, 2)
-            c = np.array([part for d in diags for part in (column(d).real, column(d).imag)])
-            band = np.zeros((len(g), 2 * len(diags)))
-            for right in range(len(diags), 0, -width):
-                left = max(right - width, 0)
-                height = len(g) - 2 * left
-                blocks = -(-height // rows)
-                for b in range(blocks):
-                    top, bottom = left + height * b // blocks, left + height * (b + 1) // blocks
-                    band[top:bottom, 2 * left:2 * right] = np.matmul(g[top:bottom],
-                                                                     c[2 * left:2 * right].T)
-            for t, d in enumerate(diags):
-                for i in range(dim - d):
-                    ratio = float(ratios[d][i])
-                    value = complex(float(band[i + t, 2 * t]) * ratio,
-                                    float(band[i + t, 2 * t + 1]) * ratio)
-                    out[i, i + d] = value
-                    if d:
-                        out[i + d, i] = value.conjugate()
-        return out
-    out_re, out_im = out.real.reshape(-1), out.imag.reshape(-1)
-    for d in range(0, dim, n_az):
-        # entry (i, i+d) is R_{i,i+d} G_{2i+d}, G_{2i+d} = a_{i+d//2} a_{i+d-d//2}
-        g = amps[d // 2:][:dim - d] * amps[d - d // 2:][:dim - d]
-        upper = np.einsum("ip,p->i", g, column(d).real)
-        if d >= 2:
-            upper = upper * ratios[d]
-        above = slice(d, (dim - d) * dim, dim + 1)
-        below = slice(d * dim, None, dim + 1)
-        out_re[below] = out_re[above] = upper
-        out_im[below] = -0.0 if d else 0.0
+    width, rows = kernels._tile(n_polar)
+    for parity in (0, 1):
+        # row k of g is G_{2k+parity}; rows 2t and 2t+1 of c are Re and Im of column
+        # d = 2t + parity, whose entries (i, i+d) are the sums of rows k = i + t
+        g = amps[:dim - parity] * amps[parity:]
+        diags = range(parity, dim, 2)
+        c = np.array([part for d in diags for part in (column(d).real, column(d).imag)])
+        band = np.zeros((len(g), 2 * len(diags)))
+        for right in range(len(diags), 0, -width):
+            left = max(right - width, 0)
+            height = len(g) - 2 * left
+            blocks = -(-height // rows)
+            for b in range(blocks):
+                top, bottom = left + height * b // blocks, left + height * (b + 1) // blocks
+                band[top:bottom, 2 * left:2 * right] = np.matmul(g[top:bottom],
+                                                                 c[2 * left:2 * right].T)
+        for t, d in enumerate(diags):
+            for i in range(dim - d):
+                ratio = float(ratios[d][i])
+                value = complex(float(band[i + t, 2 * t]) * ratio,
+                                float(band[i + t, 2 * t + 1]) * ratio)
+                out[i, i + d] = value
+                if d:
+                    out[i + d, i] = value.conjugate()
+    return out
+
+
+def _reference_resolution_of_unity(grid, two_j):
+    """resolution_of_unity(j, grid) from the reference: (2j+1)/pi scales the ring weights
+    before a main-diagonal sum (n_az > 2j), and the result of an aliased one."""
+    scale = (two_j + 1) / np.pi
+    if grid.n_azimuthal > two_j:
+        return _reference_ring_sum(grid, scale * grid.ring_weights, two_j, per_ring=True)
+    out = _reference_ring_sum(grid, grid.ring_weights, two_j)
+    out *= scale
     return out
 
 
@@ -210,9 +216,7 @@ def test_ratio_operator_bytes_match_reference_ring_sum(j):
 @pytest.mark.parametrize("j", [100, 200])
 def test_resolution_of_unity_bytes_match_reference_ring_sum(j):
     # (2j+1)/pi scales the ring weights before the ring sum, not the sum after it
-    grid = sphere_grid(j)
-    want = _reference_ring_sum(grid, ((2 * j + 1) / np.pi) * grid.ring_weights, 2 * j,
-                               per_ring=True)
+    want = _reference_resolution_of_unity(sphere_grid(j), 2 * j)
     assert coherent.resolution_of_unity(j).tobytes() == want.tobytes()
 
 
@@ -220,14 +224,17 @@ def test_resolution_of_unity_bytes_match_reference_ring_sum(j):
 @pytest.mark.parametrize("n_polar", [None, 3])
 def test_ring_sum_bytes_match_reference_ring_sum_on_aliased_grids(n_polar, n_azimuthal):
     # per-ring coefficients reach the diagonals d = 0 mod n_azimuthal, per-node ones every
-    # diagonal; the bytes include the signed zeros of the reference's mirrored writes
+    # diagonal; the bytes include the signed zeros of the reference's mirrored writes.
+    # The per-ring ones are the ring weights of a grid on the same rings, summed by
+    # resolution_of_unity, which picks the kernel: the main diagonal where n_az > 2j
     rng = np.random.default_rng(14)
     for two_j in (0, 1, 2, 3, 6, 9, 20):
         grid = sphere_grid(two_j / 2, n_polar=n_polar, n_azimuthal=n_azimuthal)
         per_ring = grid.ring_weights * rng.uniform(-1.0, 2.0, len(grid.rho))
         per_node = grid.weights * rng.normal(size=len(grid))
-        want = _reference_ring_sum(grid, per_ring, two_j, per_ring=True)
-        assert kernels.per_ring_sum(grid, per_ring, two_j).tobytes() == want.tobytes()
+        rings = SphereGrid(rho=grid.rho, ring_weights=per_ring, n_azimuthal=grid.n_azimuthal)
+        want = _reference_resolution_of_unity(rings, two_j)
+        assert coherent.resolution_of_unity(two_j / 2, rings).tobytes() == want.tobytes()
         want = _reference_ring_sum(grid, per_node, two_j)
         assert kernels.ring_projector_sum(grid, per_node, two_j).tobytes() == want.tobytes()
         imag = grid.weights * rng.normal(size=len(grid))
@@ -238,14 +245,22 @@ def test_ring_sum_bytes_match_reference_ring_sum_on_aliased_grids(n_polar, n_azi
 
 
 def test_ring_constant_sum_writes_negative_zeros_below_the_diagonal():
-    # 2j = 6 on 2 azimuths aliases diagonals 2, 4 and 6: their imaginary parts are -0.0
-    # below the main diagonal, as the conjugate of a real sum; every other one is +0.0
-    grid = sphere_grid(3, n_azimuthal=2)
-    out = kernels.per_ring_sum(grid, grid.ring_weights, 6)
-    row, col = np.indices(out.shape)
-    assert not np.any(out.imag)
-    assert np.array_equal(np.signbit(out.imag), (row > col) & ((row - col) % 2 == 0))
-    assert np.count_nonzero(out.real) == 7 + 2 * (5 + 3 + 1)
+    # 2j = 6 on 2 azimuths aliases diagonals 2, 4 and 6, 2j = 20 on 5 azimuths 5, 10, 15
+    # and 20, and on 7 azimuths 7 and 14; every other entry is exactly zero.  The per-node
+    # kernel mirrors its upper triangle as its conjugate, so the imaginary parts are -0.0
+    # below the main diagonal; scaled by (2j+1)/pi each becomes 0 re + (-0.0) scale = +0.0,
+    # as every real part is >= +0.0
+    for two_j, n_azimuthal, nonzero in ((6, 2, 7 + 2 * (5 + 3 + 1)),
+                                        (20, 5, 21 + 2 * (16 + 11 + 6 + 1)),
+                                        (20, 7, 21 + 2 * (14 + 7))):
+        grid = sphere_grid(two_j / 2, n_azimuthal=n_azimuthal)
+        row, col = np.indices((two_j + 1, two_j + 1))
+        raw = kernels.ring_projector_sum(grid, grid.ring_weights, two_j)
+        assert np.array_equal(np.signbit(raw.imag), row > col)
+        out = coherent.resolution_of_unity(two_j / 2, grid)
+        assert not np.any(out.imag) and not np.any(np.signbit(out.view(np.float64)))
+        assert np.all(out.real[(row - col) % n_azimuthal == 0] > 0.0)
+        assert np.count_nonzero(out.real) == nonzero
 
 
 def _warm_traced_peak(build) -> int:
@@ -373,19 +388,22 @@ def test_ring_amplitudes_match_mpmath(two_j):
 
 
 @pytest.mark.parametrize("two_j", [20, 200, 400])
-@pytest.mark.parametrize("n_azimuthal", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_azimuthal", [1, 2, 3, 5, 21])
 def test_per_ring_sum_matches_unflushed_dense_sum(two_j, n_azimuthal):
-    # an oracle apart from the kernel's order: the dense sum over the nodes of every
+    # an oracle apart from the kernels' order: the dense sum over the nodes of every
     # amplitude, however small, against the large-spin test's bound 4 eps sum_k |c_k|,
-    # n_az sum_p |c_p| for one value per ring.  Grids of n_az <= 2j alias diagonal
-    # d = n_az, 2 n_az, .. onto column 0, so every parity of G and the ratios R for
-    # d >= 2 enter; the worst of these cases measured 0.26 of the bound
+    # n_az sum_p |c_p| for one value per ring c_p = (2j+1)/pi w_p, the coefficients
+    # resolution_of_unity sums.  Grids of n_az <= 2j alias diagonal d = n_az, 2 n_az, ..
+    # onto column 0, so every parity of G and the ratios R for d >= 2 enter; 21 azimuths
+    # at 2j = 20 reach the main diagonal alone.  The worst case measured 0.26 of the bound
     grid = sphere_grid(two_j / 2, n_azimuthal=n_azimuthal)
     vecs = kernels.coherent_amplitudes(grid.xi, two_j)
     rng = np.random.default_rng(two_j + n_azimuthal)
-    coeff = grid.ring_weights * rng.uniform(-1.0, 2.0, len(grid.rho))
+    weights = grid.ring_weights * rng.uniform(-1.0, 2.0, len(grid.rho))
+    coeff = (two_j + 1) / np.pi * weights
     direct = vecs.T @ (np.repeat(coeff, n_azimuthal)[:, None] * vecs.conj())
-    got = kernels.per_ring_sum(grid, coeff, two_j)
+    rings = SphereGrid(rho=grid.rho, ring_weights=weights, n_azimuthal=n_azimuthal)
+    got = coherent.resolution_of_unity(two_j / 2, rings)
     assert np.max(np.abs(got - direct)) <= 4 * np.finfo(float).eps * n_azimuthal * np.sum(np.abs(coeff))
 
 
